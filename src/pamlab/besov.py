@@ -172,10 +172,6 @@ def besov_norm(u: Field, params: BesovParams, partition: DyadicPartition | None 
     return float((terms ** params.q).sum() ** (1.0 / params.q))
 
 
-def _block_values(u: Field, flavor: str, part: DyadicPartition) -> list:
-    return all_blocks(part, u, flavor)
-
-
 def paraproduct(phi: Field, psi: Field, flavor_phi: str = "dirichlet",
                 flavor_psi: str = "dirichlet",
                 partition: DyadicPartition | None = None) -> Field:
@@ -189,8 +185,8 @@ def paraproduct(phi: Field, psi: Field, flavor_phi: str = "dirichlet",
     if phi.spec != psi.spec:
         raise ValueError("paraproduct requires matching lattice specs")
     part = partition if partition is not None else build_partition(phi.spec)
-    bp = _block_values(phi, flavor_phi, part)
-    bq = _block_values(psi, flavor_psi, part)
+    bp = all_blocks(part, phi, flavor_phi)
+    bq = all_blocks(part, psi, flavor_psi)
     out = np.zeros(phi.spec.shape)
     low = np.zeros(phi.spec.shape)  # running sum of phi-blocks up to j - 2
     for idx, j in enumerate(part.block_indices):
@@ -207,8 +203,8 @@ def resonant(phi: Field, psi: Field, flavor_phi: str = "neumann",
     if phi.spec != psi.spec:
         raise ValueError("resonant product requires matching lattice specs")
     part = partition if partition is not None else build_partition(phi.spec)
-    bp = _block_values(phi, flavor_phi, part)
-    bq = _block_values(psi, flavor_psi, part)
+    bp = all_blocks(part, phi, flavor_phi)
+    bq = all_blocks(part, psi, flavor_psi)
     out = np.zeros(phi.spec.shape)
     nb = len(bp)
     for i in range(nb):

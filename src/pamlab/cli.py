@@ -22,7 +22,13 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 import numpy as np
 
 from . import __version__, io as pio, verify as pverify
-from .branching import ambient_rates, kill_and_project, simulate, write_event_log
+from .branching import (
+    ambient_rates,
+    kill_and_project,
+    particle_count,
+    simulate,
+    write_event_log,
+)
 from .environment import (
     DISTRIBUTIONS,
     build_environment,
@@ -178,6 +184,11 @@ def _load_or_build_env(cfg: RunConfig, outdir: str, n: int, seed: int,
     path = _env_path(outdir, n, seed)
     if os.path.exists(path):
         env = pio.read_environment(path)
+        archived = (env.spec.d, env.noise.distribution)
+        if archived != (cfg.d, cfg.phi):
+            raise ValueError(
+                f"environment archive {path} has d={archived[0]}, phi={archived[1]}; "
+                f"the configuration asks for d={cfg.d}, phi={cfg.phi}")
         if env.spec.L == L:
             return env
     elif require_archive:
@@ -253,7 +264,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
                     for site, cnt in bucket.items():
                         key = (snap_times[ti], L, site)
                         mean_counts[key] = mean_counts.get(key, 0) + cnt
-            weight = 1.0 / max(1, int(np.floor(n ** (cfg.d / 2))))
+            weight = 1.0 / particle_count(rates.spec)
             rows = [
                 (t, L, pio.site_label(rates.spec, site), total / used * weight)
                 for (t, L, site), total in sorted(mean_counts.items())

@@ -14,7 +14,6 @@ subtracts the renormalization constant kappa_n.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -253,17 +252,6 @@ def positive_part_statistics(noise: NoiseRealization) -> PositivePartStats:
     )
 
 
-SURVEY_FIELDS = (
-    "n", "seed", "alpha", "eps", "kappa_n",
-    "xi_neg_reg",          # ||xi||_{C^{alpha-2}_neumann}
-    "xi_pos_reg",          # ||n^{-d/2} xi_+||_{C^{-eps}_neumann}
-    "xi_pos_l2",           # ||n^{-d/2} xi_+||_{L^2_neumann}
-    "X_reg",               # ||X||_{C^{alpha}_neumann}
-    "resonant_renorm",     # ||X o xi - kappa_n||_{C^{2 alpha - 2}_neumann}
-    "resonant_raw",        # ||X o xi||_{C^{2 alpha - 2}_neumann}
-)
-
-
 def alpha_window(d: int) -> tuple:
     return (1.0, 1.5) if d == 1 else (2.0 / 3.0, 1.0)
 
@@ -273,8 +261,12 @@ def regularity_norm_survey(n_list, seeds, alpha: float, eps: float, L: int = 2,
                       chi: MultiplierSpec | None = None) -> list:
     """Per-(n, seed) table of the stochastic-estimate norms.
 
-    Returns a list of dicts with SURVEY_FIELDS keys; use
-    :func:`pamlab.io.write_csv` to persist.
+    Returns a list of dicts keyed n, seed, alpha, eps, kappa_n and the
+    Neumann norms xi_neg_reg (xi in C^{alpha-2}), xi_pos_reg and xi_pos_l2
+    (n^{-d/2} xi_+ in C^{-eps} and L^2), X_reg (X in C^alpha),
+    resonant_renorm and resonant_raw (X o xi with and without -kappa_n, in
+    C^{2 alpha - 2}; NaN for d = 1); use
+    :func:`pamlab.io.write_norm_report_csv` to persist.
     """
     lo, hi = alpha_window(d)
     if not (lo < alpha < hi):
@@ -325,15 +317,3 @@ def survey_medians(rows, key: str) -> dict:
     for r in rows:
         byn.setdefault(r["n"], []).append(r[key])
     return {n: float(np.median(v)) for n, v in sorted(byn.items())}
-
-
-def write_survey_csv(rows, path, extra: dict | None = None) -> None:
-    extra = extra or {}
-    fields = list(SURVEY_FIELDS) + sorted(extra)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fields)
-        for r in rows:
-            merged = {**r, **extra}
-            w.writerow([repr(merged[f]) if isinstance(merged[f], float) else merged[f]
-                        for f in fields])

@@ -12,13 +12,13 @@ this arrangement halves its weight compared to the potential-outside one --
 both were measured second order, at constants differing by a factor of two.
 Boundary values are never touched and stay exactly zero.
 
-A dense matrix-exponential scheme over the interior sites doubles as the
-convergence oracle for meshes up to n = 16.
+The principal eigenpair is one Lanczos solve on the sparse interior
+Hamiltonian; the same matrix, made dense, gives the matrix-exponential
+scheme that doubles as the convergence oracle for meshes up to n = 16.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,21 +148,25 @@ class _StrangStepper:
         return out
 
 
-def dense_hamiltonian(env) -> np.ndarray:
-    """H = Lap_dirichlet + diag(xi_e) on the flattened interior sites."""
+def hamiltonian(env):
+    """H = Lap_dirichlet + diag(xi_e) on the flattened interior sites (CSR)."""
+    from scipy import sparse
+
     spec = env.spec
-    P = spec.L * spec.n
-    n2 = float(spec.n) ** 2
-    m = P - 1
-    A1 = n2 * (np.diag(-2.0 * np.ones(m)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1))
+    m = spec.L * spec.n - 1
+    A1 = float(spec.n) ** 2 * sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m))
     if spec.d == 1:
-        H = A1.copy()
+        lap = A1
     else:
-        I = np.eye(m)
-        H = np.kron(A1, I) + np.kron(I, A1)
+        I = sparse.identity(m)
+        lap = sparse.kron(A1, I) + sparse.kron(I, A1)
     xi = np.asarray(env.xi_e)[spec.interior_slices()].ravel()
-    H[np.diag_indices_from(H)] += xi
-    return H
+    return (lap + sparse.diags(xi)).tocsr()
+
+
+def dense_hamiltonian(env) -> np.ndarray:
+    """The Hamiltonian as a dense array: the oracle for small meshes."""
+    return hamiltonian(env).toarray()
 
 
 def _dense_solve(problem: PamProblem) -> Trajectory:
@@ -256,69 +260,48 @@ def apply_hamiltonian(env, u: Field) -> Field:
     return Field(env.spec, out)
 
 
-DENSE_POWER_LIMIT = 4096
+def principal_eigenpair(env, tol: float = 1e-8, maxit: int = 2000) -> EigenPair:
+    """Largest eigenvalue and positive eigenfunction of H by one Lanczos solve.
 
-
-def principal_eigenpair(env, tol: float = 1e-8, delta: float = 0.1,
-                        maxit: int = 2000, dt: float = 1e-3) -> EigenPair:
-    """Largest eigenvalue and positive eigenfunction of H via power iteration
-    on the semigroup T_delta.
-
-    Iterating exp(delta H) instead of H sidesteps the unbounded-below
-    spectrum.  For interior sizes up to DENSE_POWER_LIMIT the semigroup is
-    exponentiated exactly once (dense expm); larger problems fall back to
-    Strang steps, whose O(dt^2) operator bias then limits the attainable
-    accuracy.  The eigenvalue is recovered from the growth factor per
-    application, log(growth)/delta; the convergence test is the exact
-    residual ||H v - lambda v||_2 <= tol * |lambda|.
+    ARPACK (``eigsh``, k = 1, which = "LA") runs on the sparse Hamiltonian
+    at machine precision with at most ``maxit`` restarts, started from the
+    normalized ones vector: it is strictly positive, so it has a component
+    along the Perron vector, and a fixed start makes repeated calls
+    bit-identical.  The pair is accepted only if the explicit residual
+    ||H v - lambda v||_2 is at most tol * |lambda|; with strict interior
+    positivity this certifies the principal pair (Perron-Frobenius).
+    ``iterations`` counts the applications of H, the residual check included.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     spec = env.spec
     sl = spec.interior_slices()
-    size = (spec.L * spec.n - 1) ** spec.d
+    H = hamiltonian(env)
+    size = H.shape[0]
+    applications = 0
 
-    if size <= DENSE_POWER_LIMIT:
-        H = dense_hamiltonian(env)
-        T = expm(delta * H)
+    def apply_H(vec):
+        nonlocal applications
+        applications += 1
+        return H @ vec
 
-        def apply_T(vec):
-            return T @ vec
-
-        def apply_H(vec):
-            return H @ vec
+    if size == 1:
+        lam, v = float(H[0, 0]), np.ones(1)
     else:
-        stepper = _StrangStepper(spec, np.asarray(env.xi_e),
-                                 delta / max(1, int(round(delta / dt))))
-        substeps = max(1, int(round(delta / dt)))
-
-        def apply_T(vec):
-            w = np.zeros(spec.shape)
-            w[sl] = vec.reshape((spec.L * spec.n - 1,) * spec.d)
-            for _ in range(substeps):
-                stepper.step(w)
-            return w[sl].ravel()
-
-        def apply_H(vec):
-            w = np.zeros(spec.shape)
-            w[sl] = vec.reshape((spec.L * spec.n - 1,) * spec.d)
-            return apply_hamiltonian(env, Field(spec, w)).values[sl].ravel()
-
-    v = np.ones(size)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    residual = math.inf
-    for it in range(1, maxit + 1):
-        Tv = apply_T(v)
-        growth = np.linalg.norm(Tv)
-        v = Tv / growth
-        lam = math.log(growth) / delta
-        Hv = apply_H(v)
-        residual = float(np.linalg.norm(Hv - lam * v))
-        if residual <= tol * max(abs(lam), 1e-12):
-            break
-    else:
+        try:
+            vals, vecs = eigsh(LinearOperator(H.shape, matvec=apply_H, dtype=H.dtype),
+                               k=1, which="LA", v0=np.full(size, size ** -0.5),
+                               tol=0, maxiter=maxit)
+        except ArpackNoConvergence as exc:
+            raise RuntimeError(
+                f"Lanczos did not converge in {maxit} restarts; "
+                f"residual tolerance {tol:.1e} not reached") from exc
+        lam, v = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(apply_H(v) - lam * v))
+    if residual > tol * max(abs(lam), 1e-12):
         raise RuntimeError(
-            f"power iteration did not converge in {maxit} iterations; "
-            f"last residual {residual:.3e} for lambda {lam:.6e}")
+            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * |lambda| "
+            f"for lambda {lam:.6e}")
 
     if v.sum() < 0:
         v = -v
@@ -327,7 +310,8 @@ def principal_eigenpair(env, tol: float = 1e-8, delta: float = 0.1,
     if full[sl].min() <= 0:
         raise ArithmeticError(
             "principal eigenfunction failed strict interior positivity")
-    return EigenPair(lam=lam, efunc=Field(spec, full), residual=residual, iterations=it)
+    return EigenPair(lam=lam, efunc=Field(spec, full), residual=residual,
+                     iterations=applications)
 
 
 def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,

@@ -218,6 +218,23 @@ class TestCommands:
         with pytest.raises(FileNotFoundError, match="env_n8_seed1"):
             _load_or_build_env(cfg, str(tmp_path), 8, 1, require_archive=True)
 
+    def test_mismatched_archive_rejected(self, tmp_path):
+        from pamlab.cli import _load_or_build_env
+
+        out = str(tmp_path)
+        assert main(["gen-env", "--out", out, "--d", "2", "--phi", "uniform",
+                     "--n-list", "4", "--seeds", "1"]) == 0
+        with pytest.raises(ValueError, match=r"d=2, phi=uniform.*d=1, phi=gaussian"):
+            main(["solve", "--out", out, "--d", "1", "--phi", "gaussian",
+                  "--n-list", "4", "--seeds", "1"])
+        assert not any(f.startswith("traj_") for f in os.listdir(out))
+        cfg = parse_config_text("d=2\nphi=rademacher\nn_list=4\nseeds=1\n")
+        with pytest.raises(ValueError, match="phi=rademacher"):
+            _load_or_build_env(cfg, out, 4, 1)
+        # a different box side alone still rebuilds from the seed
+        cfg = parse_config_text("d=2\nphi=uniform\nn_list=4\nseeds=1\nL_list=4\n")
+        assert _load_or_build_env(cfg, out, 4, 1).spec.L == 4
+
 
 class TestReproducibility:
     def test_end_to_end_byte_identical(self, tmp_path):

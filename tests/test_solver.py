@@ -153,15 +153,16 @@ class TestSemigroup:
 
 class TestPrincipalEigenpair:
     def test_zero_potential_ground_state(self):
-        spec = LatticeSpec(n=8, L=2, d=2)
-        pair = principal_eigenpair(zero_environment(spec), tol=1e-10)
-        lam_expect = float(laplacian_symbol(
-            np.array([[1 / spec.N, 1 / spec.N]]), spec.n)[0])
-        assert pair.lam == pytest.approx(lam_expect, abs=1e-9)
-        ref = basis_field(spec, "dirichlet", (1, 1)).values
-        v = pair.efunc.values
-        cos = abs((v * ref).sum()) / np.linalg.norm(v) / np.linalg.norm(ref)
-        assert cos > 1 - 1e-10
+        # the one-interior-site box (L = 2, n = 1) included
+        for spec in (LatticeSpec(n=8, L=2, d=2), LatticeSpec(n=1, L=2, d=1)):
+            pair = principal_eigenpair(zero_environment(spec), tol=1e-10)
+            lam_expect = float(laplacian_symbol(
+                np.full((1, spec.d), 1 / spec.N), spec.n)[0])
+            assert pair.lam == pytest.approx(lam_expect, abs=1e-9)
+            ref = basis_field(spec, "dirichlet", (1,) * spec.d).values
+            v = pair.efunc.values
+            cos = abs((v * ref).sum()) / np.linalg.norm(v) / np.linalg.norm(ref)
+            assert cos > 1 - 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_eigensolve(self, seed):
@@ -190,6 +191,24 @@ class TestPrincipalEigenpair:
         H = dense_hamiltonian(env)
         evals = eigh(H, eigvals_only=True)
         assert abs(pair.lam - evals[-1]) < 1e-6
+
+    def test_n64_pair_certified_by_stencil_residual(self):
+        # residual through the independent stencil plus strict interior
+        # positivity identify the principal pair (Perron-Frobenius)
+        env = build_environment(64, 2, 2, "gaussian", 0)
+        pair = principal_eigenpair(env, tol=1e-8)
+        sl = env.spec.interior_slices()
+        w = pair.efunc.values / np.linalg.norm(pair.efunc.values)
+        Hw = apply_hamiltonian(env, Field(env.spec, w)).values
+        assert np.linalg.norm(Hw - pair.lam * w) <= 1e-8 * abs(pair.lam)
+        assert pair.efunc.values[sl].min() > 0
+
+    def test_repeat_calls_bit_identical(self):
+        env = build_environment(16, 2, 2, "gaussian", 1)
+        a = principal_eigenpair(env, tol=1e-8)
+        b = principal_eigenpair(env, tol=1e-8)
+        assert a.lam == b.lam and a.iterations == b.iterations
+        assert np.array_equal(a.efunc.values, b.efunc.values)
 
     def test_nonconvergence_raises_with_residual(self):
         env = build_environment(8, 2, 2, "gaussian", 0)
