@@ -10,6 +10,8 @@ partition exact at every dual lattice site.
 
 Boundary flavors enter through the odd/even extension: every block, norm and
 product of a box field is computed on the torus extension and restricted.
+Torus fields are real, so the symbols live on the rfft half grid (the last
+axis cut to M/2 + 1 frequencies) and blocks are real FFT round trips.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from .lattice import Field, LatticeSpec, TorusField, extend, restrict
 from .spectral import smoothstep, torus_frequency_grid
 
 
+def _radial_bump(r: np.ndarray) -> np.ndarray:
+    """phi_0 as a function of the radius |k|."""
+    return 1.0 - smoothstep(2.0 * (r - 0.5))
+
+
 def lowpass_bump(k: np.ndarray) -> np.ndarray:
     """phi_0: radial, 1 on |k| <= 1/2, 0 for |k| >= 1, C^2 in between."""
-    r = np.sqrt((np.asarray(k, dtype=np.float64) ** 2).sum(axis=-1))
-    return 1.0 - smoothstep(2.0 * (r - 0.5))
+    return _radial_bump(np.linalg.norm(k, axis=-1))
 
 
 def tail_index(spec: LatticeSpec) -> int:
@@ -47,7 +53,8 @@ class DyadicPartition:
 
     spec: LatticeSpec
     j_n: int
-    # symbol arrays on the FFT-ordered dual grid, index j+1 for block j
+    # symbol arrays on the rfft half grid of the FFT-ordered dual torus,
+    # index j+1 for block j
     torus_symbols: list = dataclass_field(repr=False, default_factory=list)
 
     @property
@@ -66,13 +73,15 @@ def block_symbol_arrays(j_n: int, kgrid: np.ndarray) -> list:
     The tail is computed as 1 minus the partial sum, which makes the
     partition of unity exact at every grid point by construction.  In the
     degenerate case j_n = -1 (meshes so coarse that even the low block pokes
-    out of the dual box) the tail is the only block and equals one.
+    out of the dual box) the tail is the only block and equals one.  The
+    radius is taken once: |k / 2^j| = |k| / 2^j holds exactly in binary
+    floating point, so each dilate phi_0(k / 2^j) is phi_0 at |k| / 2^j.
     """
     if j_n == -1:
         return [np.ones(kgrid.shape[:-1])]
-    sym = [lowpass_bump(kgrid)]
-    for j in range(0, j_n):
-        sym.append(lowpass_bump(kgrid / 2.0 ** (j + 1)) - lowpass_bump(kgrid / 2.0 ** j))
+    r = np.linalg.norm(kgrid, axis=-1)
+    bumps = [_radial_bump(r / 2.0 ** j) for j in range(j_n + 1)]
+    sym = [bumps[0]] + [hi - lo for lo, hi in zip(bumps, bumps[1:])]
     tail = 1.0 - np.sum(sym, axis=0)
     sym.append(tail)
     return sym
@@ -80,7 +89,8 @@ def block_symbol_arrays(j_n: int, kgrid: np.ndarray) -> list:
 
 def build_partition(spec: LatticeSpec) -> DyadicPartition:
     j_n = tail_index(spec)
-    kgrid = torus_frequency_grid(spec)
+    M = spec.torus_sites_per_axis
+    kgrid = torus_frequency_grid(spec)[..., : M // 2 + 1, :]
     return DyadicPartition(spec, j_n, block_symbol_arrays(j_n, kgrid))
 
 
@@ -92,10 +102,13 @@ def block_frequency(spec: LatticeSpec, modes: tuple, partition: DyadicPartition 
     return int(np.argmax(vals)) - 1
 
 
+def _inverse_real(V: np.ndarray, shape: tuple) -> np.ndarray:
+    return np.fft.irfftn(V, s=shape, axes=tuple(range(len(shape))))
+
+
 def lp_block_torus(partition: DyadicPartition, j: int, v: TorusField) -> TorusField:
-    sym = partition.symbol(j)
-    V = np.fft.fftn(v.values) * sym
-    return TorusField(v.spec, np.fft.ifftn(V).real)
+    V = np.fft.rfftn(v.values) * partition.symbol(j)
+    return TorusField(v.spec, _inverse_real(V, v.values.shape))
 
 
 def lp_block(partition: DyadicPartition, j: int, u: Field, flavor: str) -> Field:
@@ -111,8 +124,9 @@ def lp_block(partition: DyadicPartition, j: int, u: Field, flavor: str) -> Field
 
 
 def all_blocks_torus(partition: DyadicPartition, v: TorusField) -> list:
-    V = np.fft.fftn(v.values)
-    return [np.fft.ifftn(V * partition.symbol(j)).real for j in partition.block_indices]
+    V = np.fft.rfftn(v.values)
+    return [_inverse_real(V * partition.symbol(j), v.values.shape)
+            for j in partition.block_indices]
 
 
 def all_blocks(partition: DyadicPartition, u: Field, flavor: str) -> list:
@@ -235,32 +249,29 @@ def extension_operator(u: Field, flavor: str, refinement: int) -> np.ndarray:
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     spec = u.spec
-    M = spec.torus_sites_per_axis
     m = refinement
-    V = np.fft.fftn(extend(u, flavor).values)
-    A = _embed_matrix(M, m)
-    if spec.d == 1:
-        big = A @ V
-    else:
-        big = A @ V @ A.T
-    fine = np.fft.ifftn(big) * (m ** spec.d)
     P = spec.L * spec.n
-    sl = (slice(0, m * P + 1),) * spec.d
-    return np.real(fine[sl]).copy()
+    fine = np.fft.fftn(extend(u, flavor).values)
+    # Inverse transforms run one axis at a time, last first as in ifftn, and
+    # each axis is cut to the box's m P + 1 samples before the next one.
+    for axis in reversed(range(spec.d)):
+        fine = np.fft.ifft(_zero_pad(fine, axis, m), axis=axis)
+        fine = fine[(slice(None),) * axis + (slice(0, m * P + 1),)]
+    return fine.real * (m ** spec.d)
 
 
-def _embed_matrix(M: int, m: int) -> np.ndarray:
-    """Spectral zero-padding matrix (mM x M) with symmetric Nyquist split."""
-    big = np.zeros((m * M, M))
+def _zero_pad(V: np.ndarray, axis: int, m: int) -> np.ndarray:
+    """Zero-pad an FFT-ordered spectrum from side M to m M along one axis,
+    splitting the self-paired Nyquist bin in half between +M/2 and -M/2."""
+    M = V.shape[axis]
     half = M // 2
-    for s in range(M):
-        f = s if s < half else s - M  # signed frequency of FFT bin s
-        if s == half:
-            big[half % (m * M), s] += 0.5
-            big[(-half) % (m * M), s] += 0.5
-        else:
-            big[f % (m * M), s] = 1.0
-    return big
+    V = np.moveaxis(V, axis, 0)
+    out = np.zeros((m * M,) + V.shape[1:], dtype=V.dtype)
+    out[:half] = V[:half]
+    out[m * M - half + 1:] = V[half + 1:]
+    out[half] += 0.5 * V[half]
+    out[m * M - half] += 0.5 * V[half]
+    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)

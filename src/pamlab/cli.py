@@ -141,7 +141,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 class RunManifest:
-    """Reproducibility record: config, derived constants, output inventory."""
+    """Reproducibility record: config, derived constants, output inventory.
+
+    ``manifest.json`` is a ledger: the newest record sits at the top level
+    and the records already in the file move, oldest first, to ``previous``.
+    """
 
     def __init__(self, command: str, cfg: RunConfig):
         self.data = {
@@ -163,8 +167,19 @@ class RunManifest:
     def write(self, outdir: str) -> str:
         self.data["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         path = os.path.join(outdir, "manifest.json")
+        record = dict(self.data)
+        if os.path.exists(path):
+            try:
+                with open(path) as fh:
+                    earlier = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read existing manifest {path}: {exc}") from exc
+            previous = earlier.pop("previous", []) if isinstance(earlier, dict) else None
+            if not isinstance(previous, list):
+                raise ValueError(f"existing manifest {path} is not a run record")
+            record["previous"] = previous + [earlier]
         with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=1, sort_keys=True)
+            json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return path
 

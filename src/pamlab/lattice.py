@@ -130,17 +130,6 @@ class Field:
     def zeros(cls, spec: LatticeSpec) -> "Field":
         return cls(spec, np.zeros(spec.shape))
 
-    @classmethod
-    def from_function(cls, spec: LatticeSpec, fn) -> "Field":
-        """Sample ``fn`` on the physical coordinates of the lattice."""
-        x = spec.axis_coords()
-        if spec.d == 1:
-            vals = np.asarray(fn(x), dtype=np.float64)
-        else:
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            vals = np.asarray(fn(X, Y), dtype=np.float64)
-        return cls(spec, vals)
-
     def copy(self) -> "Field":
         return Field(self.spec, self.values.copy())
 

@@ -67,6 +67,20 @@ def config_hash(**kwargs) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _digest(values) -> str:
+    data = np.ascontiguousarray(values, dtype=np.float64)
+    return hashlib.sha256(repr(data.shape).encode() + data.tobytes()).hexdigest()[:16]
+
+
+def _environment_identity(env) -> dict:
+    """Hash keys naming an environment: its noise seed and distribution when
+    it was sampled, otherwise a digest of the potential xi_e itself."""
+    noise = getattr(env, "noise", None)
+    if noise is not None:
+        return {"env_seed": noise.seed, "distribution": noise.distribution}
+    return {"xi_e": _digest(env.xi_e)}
+
+
 def smooth_bump(spec, amplitude: float = 0.5) -> Field:
     """Nonnegative product-cosine bump vanishing on the walls."""
     x = spec.axis_coords()
@@ -112,7 +126,8 @@ def test_moment_duality(env, L: int, t: float, phi: Field, replicas: int,
     rates = ambient_rates(env, L_max)
     ref = float(semigroup_apply(env, t, phi, dt_ref).values[spec.origin_index])
     chash = config_hash(test="moment_duality", n=spec.n, d=spec.d, L=L, t=t,
-                        replicas=replicas, seed_base=seed_base, L_max=L_max)
+                        replicas=replicas, seed_base=seed_base, L_max=L_max,
+                        phi=_digest(phi.values), **_environment_identity(env))
 
     def one(res):
         return kill_and_project(res, [L], [t]).pair(0, L, _embed(phi, spec, rates.spec))
@@ -202,7 +217,8 @@ def test_martingale_qv(env, L: int, T: float, phi: Field, replicas: int,
     phi_amb = _embed(phi, spec, rates.spec)
     phi0_val = float(phi.values[spec.origin_index])
     chash = config_hash(test="martingale_qv", n=spec.n, d=spec.d, L=L, T=T,
-                        replicas=replicas, seed_base=seed_base, L_max=L_max)
+                        replicas=replicas, seed_base=seed_base, L_max=L_max,
+                        phi=_digest(phi.values), **_environment_identity(env))
 
     def one(res):
         emp = kill_and_project(res, [L], [T])
@@ -257,7 +273,8 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
     U_amb = {s: _embed(U[t - s], spec, rates.spec) for s in s_grid}
     n0 = math.exp(-float(U[t].values[spec.origin_index]))
     chash = config_hash(test="laplace_functional", n=spec.n, d=spec.d, L=L, t=t,
-                        nu=nu, replicas=replicas, seed_base=seed_base, L_max=L_max)
+                        nu=nu, replicas=replicas, seed_base=seed_base, L_max=L_max,
+                        phi=_digest(phi0.values), **_environment_identity(env))
 
     if float(np.abs(phi0.values).max()) == 0.0:
         # exact unit martingale
@@ -304,7 +321,8 @@ def test_mass_tail(env, L: int, T: float, replicas: int, R_grid,
     rates = ambient_rates(env, L_max)
     R_grid = sorted(R_grid)
     chash = config_hash(test="mass_tail", n=spec.n, d=spec.d, L=L, T=T,
-                        replicas=replicas, seed_base=seed_base, R_grid=R_grid)
+                        replicas=replicas, seed_base=seed_base, R_grid=R_grid,
+                        L_max=L_max, **_environment_identity(env))
 
     def one(res):
         return sup_total_mass(res, [L], T)[L]
@@ -333,7 +351,8 @@ def test_ordering(env, Ls, T: float, snapshot_times, replicas: int,
     rates = ambient_rates(env, L_max)
     Ls = sorted(set(list(Ls) + [L_max]))
     chash = config_hash(test="ordering", n=env.spec.n, d=env.spec.d, Ls=Ls, T=T,
-                        replicas=replicas, seed_base=seed_base)
+                        replicas=replicas, seed_base=seed_base, L_max=L_max,
+                        **_environment_identity(env))
     violations = 0
     checked = 0
     exploded = 0

@@ -7,11 +7,13 @@ from pamlab.besov import (
     BesovParams,
     TimeWeightedNormParams,
     all_blocks,
+    all_blocks_torus,
     besov_norm,
     block_frequency,
     bony_decomposition,
     build_partition,
     extension_operator,
+    lowpass_bump,
     lp_block,
     lp_norm,
     paraproduct,
@@ -19,8 +21,8 @@ from pamlab.besov import (
     tail_index,
     time_weighted_norm,
 )
-from pamlab.lattice import Field, LatticeSpec, odd_extension
-from pamlab.spectral import basis_field, laplacian_symbol
+from pamlab.lattice import Field, LatticeSpec, extend, odd_extension
+from pamlab.spectral import basis_field, laplacian_symbol, torus_frequency_grid
 
 
 def rand_field(spec, seed=0, dirichlet=False):
@@ -31,6 +33,43 @@ def rand_field(spec, seed=0, dirichlet=False):
     return u
 
 
+def full_grid_symbols(spec):
+    """Oracle: the partition on the whole dual torus from the dilates of phi_0."""
+    k = torus_frequency_grid(spec)
+    j_n = tail_index(spec)
+    if j_n == -1:
+        return [np.ones(k.shape[:-1])]
+    bumps = [lowpass_bump(k / 2.0 ** j) for j in range(j_n + 1)]
+    sym = [bumps[0]] + [hi - lo for lo, hi in zip(bumps, bumps[1:])]
+    sym.append(1.0 - np.sum(sym, axis=0))
+    return sym
+
+
+def _embed_matrix(M, m):
+    """Spectral zero-padding matrix (mM x M) with symmetric Nyquist split."""
+    big = np.zeros((m * M, M))
+    half = M // 2
+    for s in range(M):
+        f = s if s < half else s - M  # signed frequency of FFT bin s
+        if s == half:
+            big[half % (m * M), s] += 0.5
+            big[(-half) % (m * M), s] += 0.5
+        else:
+            big[f % (m * M), s] = 1.0
+    return big
+
+
+def dense_extension(u, flavor, m):
+    """Oracle: trigonometric refinement by dense zero-padding products."""
+    spec = u.spec
+    V = np.fft.fftn(extend(u, flavor).values)
+    A = _embed_matrix(spec.torus_sites_per_axis, m)
+    big = A @ V if spec.d == 1 else A @ V @ A.T
+    fine = np.fft.ifftn(big) * m ** spec.d
+    sl = (slice(0, m * spec.L * spec.n + 1),) * spec.d
+    return fine[sl].real
+
+
 class TestPartition:
     def test_sums_to_one_at_every_dual_site(self):
         for d in (1, 2):
@@ -38,6 +77,17 @@ class TestPartition:
             part = build_partition(spec)
             total = np.sum(part.torus_symbols, axis=0)
             assert np.abs(total - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_half_grid_symbols_equal_full_grid_oracle(self, d, n):
+        spec = LatticeSpec(n=n, L=2, d=d)
+        half = spec.torus_sites_per_axis // 2 + 1
+        part = build_partition(spec)
+        oracle = full_grid_symbols(spec)
+        assert len(part.torus_symbols) == len(oracle)
+        for got, want in zip(part.torus_symbols, oracle):
+            assert np.array_equal(got, want[..., :half])
 
     def test_tail_index_increments_with_doubling(self):
         js = [tail_index(LatticeSpec(n=n, L=2, d=2)) for n in (4, 8, 16, 32)]
@@ -113,6 +163,23 @@ class TestBlocks:
 
             rhs = lp_block_torus(part, j, odd_extension(u)).values
             assert np.abs(lhs - rhs).max() < 1e-11
+
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_real_blocks_match_complex_fft_oracle(self, d, flavor, n):
+        spec = LatticeSpec(n=n, L=2, d=d)
+        u = rand_field(spec, n + d, dirichlet=flavor == "dirichlet")
+        v = extend(u, flavor).values
+        V = np.fft.fftn(v)
+        oracle = [np.fft.ifftn(V * sym).real for sym in full_grid_symbols(spec)]
+        got = all_blocks_torus(build_partition(spec), extend(u, flavor))
+        assert len(got) == len(oracle)
+        tol = 1e-12 * max(1.0, np.abs(u.values).max())
+        for b, want in zip(got, oracle):
+            assert b.shape == v.shape
+            assert np.abs(b - want).max() < tol
 
 
 class TestBesovNorm:
@@ -213,6 +280,17 @@ class TestExtensionOperator:
         xf = np.arange(ref * spec.L * spec.n + 1) / (ref * spec.n)
         closed = spec.N ** -0.5 * 2 * np.sin(2 * np.pi * (m / spec.N) * xf)
         assert np.abs(fine - closed).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("refinement", [1, 2, 3, 4])
+    def test_matches_dense_zero_padding_oracle(self, d, flavor, refinement):
+        spec = LatticeSpec(n=4, L=2, d=d)
+        u = rand_field(spec, 10 * d + refinement)
+        fine = extension_operator(u, flavor, refinement)
+        want = dense_extension(u, flavor, refinement)
+        assert fine.shape == want.shape
+        assert np.abs(fine - want).max() < 1e-13
 
     def test_dirichlet_extension_vanishes_on_box_boundary(self):
         spec = LatticeSpec(n=4, L=2, d=2)

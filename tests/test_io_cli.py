@@ -236,6 +236,34 @@ class TestCommands:
         assert _load_or_build_env(cfg, out, 4, 1).spec.L == 4
 
 
+class TestManifestLedger:
+    def test_pipeline_keeps_every_record(self, tmp_path):
+        cfg = parse_config_text(
+            "d=1\nn_list=8\nseeds=1\nT=0.05\nreplicas=20\nL_list=2\nL_max=4\n")
+        out = str(tmp_path)
+        for cmd in (cmd_gen_env, cmd_solve, cmd_verify, cmd_survey):
+            cmd(cfg, out)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "survey"
+        assert "survey.csv" in manifest["outputs"]
+        previous = manifest["previous"]
+        assert [r["command"] for r in previous] == ["gen-env", "solve", "verify"]
+        assert all("previous" not in r for r in previous)
+        failures = sum(not json.loads(l)["passed"]
+                       for l in (tmp_path / "reports.jsonl").read_text().splitlines())
+        assert previous[2]["derived"]["failures"] == failures
+
+    def test_unreadable_manifest_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("{not json")
+        cfg = parse_config_text("d=1\nn_list=4\nseeds=1\n")
+        with pytest.raises(ValueError, match="manifest.json"):
+            cmd_gen_env(cfg, str(tmp_path))
+        assert (tmp_path / "manifest.json").read_text() == "{not json"
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="manifest.json"):
+            cmd_gen_env(cfg, str(tmp_path))
+
+
 class TestReproducibility:
     def test_end_to_end_byte_identical(self, tmp_path):
         text = ("d=1\nn_list=16\nseeds=101\nT=0.1\nreplicas=40\n"

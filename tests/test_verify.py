@@ -140,6 +140,27 @@ class TestReportSerialization:
         rep = verify.TestReport("demo", 1.0, 0.0, 0.1, 10, False, "x")
         assert verify.write_reports_jsonl([rep], tmp_path / "r.jsonl") == 1
 
+    def test_report_hash_names_environment(self):
+        envs = [build_environment(8, 2, 1, "gaussian", seed=s) for s in (1, 2, 1)]
+        hashes = []
+        for env in envs:
+            phi = verify.smooth_bump(env.spec)
+            rep = verify.test_moment_duality(env, L=2, t=0.0, phi=phi, replicas=2)
+            hashes.append(rep.config_hash)
+        assert hashes[0] != hashes[1]
+        assert hashes[0] == hashes[2]
+        # without noise the potential itself identifies the environment
+        spec = LatticeSpec(n=8, L=2, d=1)
+        pots = [PotentialEnvironment(spec, np.full(spec.shape, c)) for c in (0.0, 1.0)]
+        tails = [verify.test_mass_tail(e, 2, 0.02, 2, [1.0, 2.0]).config_hash for e in pots]
+        assert tails[0] != tails[1]
+        # the test function's values enter too (the amplitude among them)
+        env = envs[0]
+        amps = [verify.test_moment_duality(env, L=2, t=0.0, replicas=2,
+                                           phi=verify.smooth_bump(env.spec, a)).config_hash
+                for a in (0.4, 0.5)]
+        assert amps[0] != amps[1]
+
     def test_config_hash_stable(self):
         a = verify.config_hash(test="t", n=8)
         b = verify.config_hash(n=8, test="t")
