@@ -35,7 +35,7 @@ from .environment import (
     regularity_norm_survey,
     survey_medians,
 )
-from .solver import PamProblem, principal_eigenpair, solve_linear_pam
+from .solver import PamProblem, principal_eigenpair, solve_linear_pam, time_grid
 
 _UNSET = object()
 
@@ -199,11 +199,12 @@ def _load_or_build_env(cfg: RunConfig, outdir: str, n: int, seed: int,
     path = _env_path(outdir, n, seed)
     if os.path.exists(path):
         env = pio.read_environment(path)
-        archived = (env.spec.d, env.noise.distribution)
-        if archived != (cfg.d, cfg.phi):
+        archived = (env.spec.d, env.noise.distribution, env.spec.n, env.noise.seed)
+        if archived != (cfg.d, cfg.phi, n, seed):
             raise ValueError(
-                f"environment archive {path} has d={archived[0]}, phi={archived[1]}; "
-                f"the configuration asks for d={cfg.d}, phi={cfg.phi}")
+                f"environment archive {path} has d={archived[0]}, phi={archived[1]}, "
+                f"n={archived[2]}, seed={archived[3]}; the configuration asks for "
+                f"d={cfg.d}, phi={cfg.phi}, n={n}, seed={seed}")
         if env.spec.L == L:
             return env
     elif require_archive:
@@ -229,15 +230,17 @@ def cmd_gen_env(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     manifest = RunManifest("solve", cfg)
+    grid = time_grid(cfg.T, cfg.dt)
+    half = float(grid[np.argmin(np.abs(grid - cfg.T / 2))])
     for n in sorted(cfg.n_list):
         for seed in sorted(cfg.seeds):
             env = _load_or_build_env(cfg, outdir, n, seed)
             w0 = pverify.smooth_bump(env.spec, cfg.amp)
-            traj = solve_linear_pam(PamProblem(env, w0, T=cfg.T, dt=cfg.dt))
-            for label, t in (("0", 0.0), ("half", cfg.T / 2), ("T", cfg.T)):
-                idx = int(np.argmin(np.abs(traj.times - t)))
+            traj = solve_linear_pam(PamProblem(env, w0, T=cfg.T, dt=cfg.dt),
+                                    store_times=[half])
+            for label, t in (("0", 0.0), ("half", half), ("T", cfg.T)):
                 path = os.path.join(outdir, f"traj_n{n}_seed{seed}_{label}.field")
-                pio.write_field_text(traj.states[idx], path, flavor="dirichlet")
+                pio.write_field_text(traj.at(t), path, flavor="dirichlet")
                 manifest.add_output(path)
             pair = principal_eigenpair(env, tol=1e-8)
             epath = os.path.join(outdir, f"eigen_n{n}_seed{seed}.csv")

@@ -10,7 +10,13 @@ diffusion takes the outer half-steps (half diffusion, full potential, half
 diffusion): the dominant error commutator involves the Laplacian twice, and
 this arrangement halves its weight compared to the potential-outside one --
 both were measured second order, at constants differing by a factor of two.
-Boundary values are never touched and stay exactly zero.
+
+States evolve as contiguous arrays of the (L n - 1)^d interior sites; the
+zero boundary values are added back only when a state is returned.  The
+DST-I normalisation is folded into the diffusion symbols, and adjacent
+half-diffusions of consecutive steps merge into one full diffusion, so a
+step costs two DSTs; the trailing half-diffusion is applied only where a
+state is read out.  A trajectory keeps t = 0, the requested times and T.
 
 The principal eigenpair is one Lanczos solve on the sparse interior
 Hamiltonian; the same matrix, made dense, gives the matrix-exponential
@@ -77,11 +83,10 @@ class PamProblem:
             raise ValueError("initial condition must vanish on the boundary")
 
     def forcing_at(self, t: float):
-        if self.f is None:
-            return None
-        if callable(self.f):
-            return self.f(t)
-        return self.f
+        g = self.f(t) if callable(self.f) else self.f
+        if g is not None and not g.is_dirichlet():
+            raise ValueError("forcing must vanish on the boundary")
+        return g
 
 
 @dataclass
@@ -113,39 +118,56 @@ class EigenPair:
     iterations: int
 
 
+def _interior_field(spec: LatticeSpec, values: np.ndarray) -> Field:
+    """The box field with the given interior values and zero boundary."""
+    full = np.zeros(spec.shape)
+    full[spec.interior_slices()] = np.reshape(values, (spec.L * spec.n - 1,) * spec.d)
+    return Field(spec, full)
+
+
 class _StrangStepper:
-    """Precomputed exact sub-flows for one step size."""
+    """Strang steps D(h/2) P(h) D(h/2) of one step size h on the interior.
+
+    D is the Dirichlet heat flow, diagonal in the DST-I basis, and P the
+    pointwise factor exp(h xi_e); both act on contiguous interior arrays.
+    The diffusion symbols are divided by the DST-I scale (2 L n)^d once, so
+    a diffusion is an unnormalised DST, an in-place product and a DST.
+
+    The stepper carries one chain from ``restart(w)``.  It holds the DST
+    coefficients of the *open* state: P applied, the trailing D(h/2) not
+    yet.  ``advance`` merges that pending half-diffusion with the next
+    step's leading one into a single D(h), so a step costs two DSTs;
+    ``state`` closes a copy with D(h/2) (one DST) and leaves the chain as
+    it was.  ``state`` is defined once the chain has advanced.
+    """
 
     def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float):
         from .spectral import frequency_grid, laplacian_symbol
 
-        self.spec = spec
-        self.dt = dt
-        self.interior = spec.interior_slices()
-        self.full_pot = np.exp(dt * xi_e)
-        self.half_pot = np.exp(0.5 * dt * xi_e)
+        self.full_pot = np.exp(dt * np.asarray(xi_e)[spec.interior_slices()])
         ln = laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n)
-        P = spec.L * spec.n
-        self._dst_scale = (2.0 * P) ** spec.d
-        self.diff_half = np.exp(0.5 * dt * ln)
-        self.diff_quarter = np.exp(0.25 * dt * ln)
+        scale = (2.0 * spec.L * spec.n) ** spec.d
+        self.diff_full = np.exp(dt * ln) / scale
+        self.diff_half = np.exp(0.5 * dt * ln) / scale
+        self._coef = None
+        self._pending = None
 
-    def _diffuse(self, w: np.ndarray, sym: np.ndarray) -> None:
-        block = w[self.interior]
-        c = sfft.dstn(block, type=1) * sym
-        w[self.interior] = sfft.dstn(c, type=1) / self._dst_scale
+    def restart(self, w: np.ndarray) -> None:
+        """Start the chain from the closed interior state w."""
+        self._coef = sfft.dstn(w, type=1)
+        self._pending = self.diff_half
 
-    def step(self, w: np.ndarray) -> None:
-        self._diffuse(w, self.diff_half)
-        w *= self.full_pot
-        self._diffuse(w, self.diff_half)
+    def advance(self) -> None:
+        """One step: the pending diffusion, then P(h)."""
+        self._coef *= self._pending
+        y = sfft.dstn(self._coef, type=1, overwrite_x=True)
+        y *= self.full_pot
+        self._coef = sfft.dstn(y, type=1)
+        self._pending = self.diff_full
 
-    def half_step_applied(self, g: np.ndarray) -> np.ndarray:
-        out = g.copy()
-        self._diffuse(out, self.diff_quarter)
-        out *= self.half_pot
-        self._diffuse(out, self.diff_quarter)
-        return out
+    def state(self) -> np.ndarray:
+        """The closed state: the open one diffused by D(h/2)."""
+        return sfft.dstn(self._coef * self.diff_half, type=1, overwrite_x=True)
 
 
 def hamiltonian(env):
@@ -169,30 +191,6 @@ def dense_hamiltonian(env) -> np.ndarray:
     return hamiltonian(env).toarray()
 
 
-def _dense_solve(problem: PamProblem) -> Trajectory:
-    spec = problem.env.spec
-    H = dense_hamiltonian(problem.env)
-    P_full = expm(problem.dt * H)
-    P_half = expm(0.5 * problem.dt * H)
-    steps = _step_count(problem.T, problem.dt)
-    sl = spec.interior_slices()
-    w = problem.w0.values[sl].ravel().copy()
-    times = [0.0]
-    states = [problem.w0.copy()]
-    t = 0.0
-    for _ in range(steps):
-        w = P_full @ w
-        g = problem.forcing_at(t + 0.5 * problem.dt)
-        if g is not None:
-            w = w + problem.dt * (P_half @ g.values[sl].ravel())
-        t += problem.dt
-        full = np.zeros(spec.shape)
-        full[sl] = w.reshape((spec.L * spec.n - 1,) * spec.d)
-        times.append(t)
-        states.append(Field(spec, full))
-    return Trajectory(np.array(times), states)
-
-
 def _step_count(T: float, dt: float) -> int:
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
@@ -200,33 +198,84 @@ def _step_count(T: float, dt: float) -> int:
     return steps
 
 
-def solve_linear_pam(problem: PamProblem) -> Trajectory:
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """The step times 0, dt, ..., T, accumulated step by step as the solvers do."""
+    return np.concatenate(([0.0], np.cumsum(np.full(_step_count(T, dt), dt))))
+
+
+def _grid_steps(times, T: float, dt: float) -> dict:
+    """Map each time to its step on the dt grid of [0, T]; others raise."""
+    steps = _step_count(T, dt)
+    out = {}
+    for s in () if times is None else times:
+        k = round(s / dt)
+        if abs(s / dt - k) > 1e-9 or not 0 <= k <= steps:
+            raise ValueError(f"store time {s} is not a multiple of dt {dt} in [0, {T}]")
+        out[s] = k
+    return out
+
+
+def _dense_solve(problem: PamProblem, grid: np.ndarray, kept: set) -> Trajectory:
+    spec = problem.env.spec
+    H = dense_hamiltonian(problem.env)
+    P_full = expm(problem.dt * H)
+    P_half = expm(0.5 * problem.dt * H)
+    sl = spec.interior_slices()
+    w = problem.w0.values[sl].ravel().copy()
+    times = [0.0]
+    states = [problem.w0.copy()]
+    for k in range(1, len(grid)):
+        w = P_full @ w
+        g = problem.forcing_at(grid[k - 1] + 0.5 * problem.dt)
+        if g is not None:
+            w = w + problem.dt * (P_half @ g.values[sl].ravel())
+        if k in kept:
+            times.append(grid[k])
+            states.append(_interior_field(spec, w))
+    return Trajectory(np.array(times), states)
+
+
+def solve_linear_pam(problem: PamProblem, store_times=None) -> Trajectory:
     """Trajectory of dw = (Lap_d + xi_e) w + f with w = 0 on the walls.
 
     Strang splitting is second order with exact sub-flows; forcing enters
     through midpoint quadrature propagated by a half step, which preserves
     the order.  The dense-exponential scheme exponentiates the full interior
     generator and is exact for f = 0 (up to roundoff).
+
+    The trajectory holds t = 0, each of ``store_times`` and the horizon T;
+    a store time off the dt grid or outside [0, T] raises ``ValueError``.
+    The splitting runs one chain of merged half-diffusions on the interior
+    (two DSTs per step, the DST-I scale folded into the symbols) and closes
+    a copy of it only at a stored time; a step with forcing closes the
+    chain, adds the forcing and restarts it.
     """
+    dt = problem.dt
+    grid = time_grid(problem.T, dt)
+    kept = set(_grid_steps(store_times, problem.T, dt).values())
+    kept.add(len(grid) - 1)
     if problem.scheme == "dense-exponential":
-        return _dense_solve(problem)
+        return _dense_solve(problem, grid, kept)
     spec = problem.env.spec
-    stepper = _StrangStepper(spec, np.asarray(problem.env.xi_e), problem.dt)
-    steps = _step_count(problem.T, problem.dt)
-    w = problem.w0.values.copy()
+    sl = spec.interior_slices()
+    chain = _StrangStepper(spec, problem.env.xi_e, dt)
+    chain.restart(problem.w0.values[sl])
+    forcing = None if problem.f is None else _StrangStepper(spec, problem.env.xi_e, 0.5 * dt)
     times = [0.0]
     states = [problem.w0.copy()]
-    t = 0.0
-    for _ in range(steps):
-        stepper.step(w)
-        g = problem.forcing_at(t + 0.5 * problem.dt)
+    for k in range(1, len(grid)):
+        chain.advance()
+        w = None
+        g = problem.forcing_at(grid[k - 1] + 0.5 * dt)
         if g is not None:
-            if not g.is_dirichlet():
-                raise ValueError("forcing must vanish on the boundary")
-            w += problem.dt * stepper.half_step_applied(g.values)
-        t += problem.dt
-        times.append(t)
-        states.append(Field(spec, w.copy()))
+            forcing.restart(g.values[sl])
+            forcing.advance()
+            w = chain.state()
+            w += dt * forcing.state()
+            chain.restart(w)
+        if k in kept:
+            times.append(grid[k])
+            states.append(_interior_field(spec, chain.state() if w is None else w))
     return Trajectory(np.array(times), states)
 
 
@@ -239,16 +288,6 @@ def semigroup_apply(env, t: float, phi: Field, dt: float = 1e-3) -> Field:
     steps = max(1, int(round(t / dt)))
     problem = PamProblem(env, phi, T=t, dt=t / steps)
     return solve_linear_pam(problem).final
-
-
-def mass_bound_sweep(env, T: float, dt: float = 1e-3, samples: int = 10) -> float:
-    """sup over the sampled grid of ||T_t 1_interior||_inf up to horizon T."""
-    spec = env.spec
-    one = np.ones(spec.shape)
-    one[spec.boundary_mask()] = 0.0
-    traj = solve_linear_pam(PamProblem(env, Field(spec, one), T=T, dt=dt))
-    idx = np.unique(np.linspace(0, len(traj.states) - 1, samples).astype(int))
-    return max(float(np.abs(traj.states[i].values).max()) for i in idx)
 
 
 def apply_hamiltonian(env, u: Field) -> Field:
@@ -274,8 +313,6 @@ def principal_eigenpair(env, tol: float = 1e-8, maxit: int = 2000) -> EigenPair:
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    spec = env.spec
-    sl = spec.interior_slices()
     H = hamiltonian(env)
     size = H.shape[0]
     applications = 0
@@ -305,13 +342,11 @@ def principal_eigenpair(env, tol: float = 1e-8, maxit: int = 2000) -> EigenPair:
 
     if v.sum() < 0:
         v = -v
-    full = np.zeros(spec.shape)
-    full[sl] = v.reshape((spec.L * spec.n - 1,) * spec.d)
-    if full[sl].min() <= 0:
+    if v.min() <= 0:
         raise ArithmeticError(
             "principal eigenfunction failed strict interior positivity")
-    return EigenPair(lam=lam, efunc=Field(spec, full), residual=residual,
-                     iterations=applications)
+    return EigenPair(lam=lam, efunc=_interior_field(env.spec, v),
+                     residual=residual, iterations=applications)
 
 
 def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
@@ -320,11 +355,14 @@ def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
 
     Strang arrangement: half absorption (exact pointwise 1/(1 + nu s phi)
     flow), full linear step, half absorption.  The comparison solution
-    w = T_t phi0 is propagated alongside and the bounds 0 <= phi <= w are
-    enforced after every step.
+    w = T_t phi0 is propagated alongside as one chain of merged
+    half-diffusions, closed every step, and the bounds 0 <= phi <= w are
+    enforced after every step.  With nu = 0, phi is that closed w clipped
+    at zero, so it equals ``semigroup_apply`` bit for bit.
 
     With ``store_times`` a dict {s: Field} of intermediate states is
     returned (s = 0 maps to a copy of phi0); otherwise the final state.
+    A store time off the dt grid or outside [0, t] raises ``ValueError``.
     """
     if float(np.min(phi0.values)) < 0:
         raise ValueError("initial condition must be nonnegative")
@@ -333,38 +371,35 @@ def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
     spec = env.spec
     if t == 0.0:
         return {0.0: phi0.copy()} if store_times is not None else phi0.copy()
+    wanted = _grid_steps(store_times, t, dt)
     steps = _step_count(t, dt)
-    stepper = _StrangStepper(spec, np.asarray(env.xi_e), dt)
-
-    wanted = sorted(set(store_times)) if store_times is not None else []
-    for s in wanted:
-        k = s / dt
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"store time {s} is not on the dt grid")
-    stored = {}
+    sl = spec.interior_slices()
+    linear = _StrangStepper(spec, env.xi_e, dt)
+    absorbed = _StrangStepper(spec, env.xi_e, dt) if nu != 0.0 else None
+    phi = phi0.values[sl].copy()
+    linear.restart(phi)
+    stored = {s: phi0.copy() for s, k in wanted.items() if k == 0}
 
     def sink(arr: np.ndarray, tau: float) -> None:
-        if nu != 0.0:
-            arr /= 1.0 + nu * tau * arr
+        arr /= 1.0 + nu * tau * arr
 
-    phi = phi0.values.copy()
-    wlin = phi0.values.copy()
-    if 0.0 in wanted:
-        stored[0.0] = phi0.copy()
-    s = 0.0
-    for _ in range(steps):
-        sink(phi, 0.5 * dt)
-        stepper.step(phi)
-        sink(phi, 0.5 * dt)
-        stepper.step(wlin)
-        s += dt
+    for k in range(1, steps + 1):
+        linear.advance()
+        wlin = linear.state()
+        if absorbed is None:
+            phi = wlin.copy()
+        else:
+            sink(phi, 0.5 * dt)
+            absorbed.restart(phi)
+            absorbed.advance()
+            phi = absorbed.state()
+            sink(phi, 0.5 * dt)
         np.clip(phi, 0.0, None, out=phi)
         if np.any(phi > wlin + 1e-9 * max(1.0, float(wlin.max()))):
             raise ArithmeticError("comparison bound phi <= T_t phi0 violated")
-        key = round(s / dt) * dt
-        for want in wanted:
-            if abs(key - want) < 1e-12 and want not in stored:
-                stored[want] = Field(spec, phi.copy())
+        for s, ks in wanted.items():
+            if ks == k:
+                stored[s] = _interior_field(spec, phi)
     if store_times is not None:
         return stored
-    return Field(spec, phi)
+    return _interior_field(spec, phi)

@@ -265,7 +265,7 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
     if float(np.min(phi0.values)) < 0:
         raise ValueError("the Laplace test function must be nonnegative")
     nu = env.nu if nu is None else nu
-    s_grid = sorted(s_grid if s_grid is not None else [0.0, t / 2, t])
+    s_grid = sorted(float(s) for s in ([0.0, t / 2, t] if s_grid is None else s_grid))
     L_max = L_max or L
     rates = ambient_rates(env, L_max)
     horizons = [t - s for s in s_grid]
@@ -274,7 +274,8 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
     n0 = math.exp(-float(U[t].values[spec.origin_index]))
     chash = config_hash(test="laplace_functional", n=spec.n, d=spec.d, L=L, t=t,
                         nu=nu, replicas=replicas, seed_base=seed_base, L_max=L_max,
-                        phi=_digest(phi0.values), **_environment_identity(env))
+                        s_grid=s_grid, phi=_digest(phi0.values),
+                        **_environment_identity(env))
 
     if float(np.abs(phi0.values).max()) == 0.0:
         # exact unit martingale
@@ -291,7 +292,7 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
 
     vals, exploded = _run_replicas(rates, t, replicas, seed_base, cap, one)
     arr = np.array(vals)
-    extras = {"n0": n0, "s_grid": [float(s) for s in s_grid]}
+    extras = {"n0": n0, "s_grid": s_grid}
     passed = exploded <= MAX_EXPLODED_FRACTION * replicas
     worst_dev = 0.0
     for j, s in enumerate(s_grid):
@@ -352,6 +353,7 @@ def test_ordering(env, Ls, T: float, snapshot_times, replicas: int,
     Ls = sorted(set(list(Ls) + [L_max]))
     chash = config_hash(test="ordering", n=env.spec.n, d=env.spec.d, Ls=Ls, T=T,
                         replicas=replicas, seed_base=seed_base, L_max=L_max,
+                        snapshot_times=[float(s) for s in snapshot_times],
                         **_environment_identity(env))
     violations = 0
     checked = 0

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ class TestCommands:
         # a different box side alone still rebuilds from the seed
         cfg = parse_config_text("d=2\nphi=uniform\nn_list=4\nseeds=1\nL_list=4\n")
         assert _load_or_build_env(cfg, out, 4, 1).spec.L == 4
+
+    def test_archive_of_other_n_or_seed_rejected(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["gen-env", "--out", out, "--d", "1", "--n-list", "4,8",
+                     "--seeds", "1"]) == 0
+        shutil.copy(tmp_path / "env_n8_seed1.txt", tmp_path / "env_n4_seed1.txt")
+        with pytest.raises(ValueError, match=r"n=8, seed=1.*n=4, seed=1"):
+            main(["solve", "--out", out, "--d", "1", "--n-list", "4", "--seeds", "1"])
+        shutil.copy(tmp_path / "env_n8_seed1.txt", tmp_path / "env_n8_seed2.txt")
+        with pytest.raises(ValueError, match=r"n=8, seed=1.*n=8, seed=2"):
+            main(["solve", "--out", out, "--d", "1", "--n-list", "8", "--seeds", "2"])
+        assert not any(f.startswith("traj_") for f in os.listdir(out))
 
 
 class TestManifestLedger:

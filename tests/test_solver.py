@@ -2,23 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.linalg import eigh, expm
 
+from pamlab.cli import cmd_solve, parse_config_text
 from pamlab.environment import build_environment
+from pamlab.io import read_field_text
 from pamlab.lattice import Field, LatticeSpec
 from pamlab.solver import (
     PamProblem,
     apply_hamiltonian,
     constant_environment,
     dense_hamiltonian,
-    mass_bound_sweep,
     principal_eigenpair,
     semigroup_apply,
     solve_dual_fkpp,
     solve_linear_pam,
     zero_environment,
 )
-from pamlab.spectral import basis_field, laplacian_symbol
+from pamlab.spectral import basis_field, frequency_grid, laplacian_symbol
+from pamlab.verify import smooth_bump
 
 
 def bump(spec, amplitude=0.5):
@@ -29,6 +32,32 @@ def bump(spec, amplitude=0.5):
     vals = amplitude * vals
     vals[spec.boundary_mask()] = 0.0
     return Field(spec, vals)
+
+
+def strang_oracle(env, w0, T, dt):
+    """Every state of the unmerged Strang sequence: four DSTs per step on the
+    full box array, the DST-I scale divided out after each diffusion."""
+    spec = env.spec
+    sl = spec.interior_slices()
+    half = np.exp(0.5 * dt * laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n))
+    pot = np.exp(dt * np.asarray(env.xi_e))
+    scale = (2.0 * spec.L * spec.n) ** spec.d
+
+    def diffuse(w):
+        w[sl] = sfft.dstn(sfft.dstn(w[sl], type=1) * half, type=1) / scale
+
+    w = w0.values.copy()
+    states = [w.copy()]
+    for _ in range(round(T / dt)):
+        diffuse(w)
+        w *= pot
+        diffuse(w)
+        states.append(w.copy())
+    return states
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestProblemValidation:
@@ -108,7 +137,8 @@ class TestLinearSolver:
 
     def test_dirichlet_wall_enforced_every_state(self):
         env = build_environment(8, 2, 2, "gaussian", 1)
-        traj = solve_linear_pam(PamProblem(env, bump(env.spec), T=0.02, dt=1e-3))
+        traj = solve_linear_pam(PamProblem(env, bump(env.spec), T=0.02, dt=1e-3),
+                                store_times=np.arange(21) * 1e-3)
         mask = env.spec.boundary_mask()
         for state in traj.states:
             assert np.all(state.values[mask] == 0.0)
@@ -122,6 +152,65 @@ class TestLinearSolver:
         spec = LatticeSpec(n=4, L=2, d=1)
         with pytest.raises(ValueError):
             solve_linear_pam(PamProblem(zero_environment(spec), bump(spec), T=0.05, dt=0.02))
+
+
+class TestMergedStrang:
+    @pytest.mark.parametrize("d", (1, 2))
+    @pytest.mark.parametrize("n", (4, 8, 16))
+    def test_final_matches_unmerged_oracle(self, d, n):
+        env = build_environment(n, 2, d, "gaussian", n)
+        w0 = bump(env.spec)
+        T, dt = 0.05, 1e-3
+        traj = solve_linear_pam(PamProblem(env, w0, T=T, dt=dt))
+        assert_close(traj.final.values, strang_oracle(env, w0, T, dt)[-1])
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_stored_states_match_oracle(self, d):
+        env = build_environment(8, 2, d, "gaussian", 4)
+        w0 = bump(env.spec)
+        T, dt = 0.05, 1e-3
+        ref = strang_oracle(env, w0, T, dt)
+        traj = solve_linear_pam(PamProblem(env, w0, T=T, dt=dt),
+                                store_times=[0.031, 0.0, 0.013, 0.03, 0.05])
+        steps = [0, 13, 30, 31, 50]
+        assert np.allclose(traj.times, np.array(steps) * dt, rtol=0, atol=1e-15)
+        for k, state in zip(steps, traj.states):
+            assert_close(state.values, ref[k])
+        # closing a copy at a stored time leaves the chain as it was
+        plain = solve_linear_pam(PamProblem(env, w0, T=T, dt=dt))
+        assert np.array_equal(plain.final.values, traj.final.values)
+
+    @pytest.mark.parametrize("scheme", ("splitting", "dense-exponential"))
+    def test_default_keeps_endpoints(self, scheme):
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        traj = solve_linear_pam(PamProblem(env, bump(env.spec), T=0.02, dt=1e-3,
+                                           scheme=scheme))
+        assert len(traj.times) == len(traj.states) == 2
+        assert traj.times[0] == 0.0 and traj.times[1] == pytest.approx(0.02, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", ([0.0105], [-1e-3], [0.021], [0.01, 0.5]))
+    def test_store_times_off_grid_or_outside_rejected(self, bad):
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        w0 = bump(env.spec)
+        for scheme in ("splitting", "dense-exponential"):
+            with pytest.raises(ValueError, match="store time"):
+                solve_linear_pam(PamProblem(env, w0, T=0.02, dt=1e-3, scheme=scheme),
+                                 store_times=bad)
+        with pytest.raises(ValueError, match="store time"):
+            solve_dual_fkpp(env, w0, 0.5, 0.02, 1e-3, store_times=bad)
+
+    # the state at the grid time nearest T/2: step round(T/2/dt) for an even
+    # step count; an odd count ties in exact arithmetic, and the accumulated
+    # step times decide it (step 3 of 7 here), as they did before
+    @pytest.mark.parametrize("T, half_step", ((0.02, 10), (0.007, 3)))
+    def test_cmd_solve_half_state(self, tmp_path, T, half_step):
+        cfg = parse_config_text(f"d=1\nn_list=8\nseeds=1\nT={T}\ndt=0.001\n")
+        assert cmd_solve(cfg, str(tmp_path)) == 0
+        env = build_environment(8, 2, 1, "gaussian", 1)
+        ref = strang_oracle(env, smooth_bump(env.spec, cfg.amp), T, 1e-3)
+        for label, k in (("0", 0), ("half", half_step), ("T", len(ref) - 1)):
+            got, _ = read_field_text(tmp_path / f"traj_n8_seed1_{label}.field")
+            assert_close(got.values, ref[k])
 
 
 class TestSemigroup:
@@ -144,11 +233,6 @@ class TestSemigroup:
         comp = semigroup_apply(env, 0.05, semigroup_apply(env, 0.05, phi, dt), dt)
         tol = 2 * 5e-4 * max(1.0, np.abs(one_shot.values).max())
         assert np.abs(one_shot.values - comp.values).max() < tol
-
-    def test_mass_bound_finite(self):
-        env = build_environment(8, 2, 2, "gaussian", 2)
-        sup = mass_bound_sweep(env, T=0.1)
-        assert np.isfinite(sup) and sup > 0
 
 
 class TestPrincipalEigenpair:
@@ -305,7 +389,8 @@ class TestTimeWeightedStability:
         for n in (8, 16, 32):
             env = build_environment(n, 2, 1, "gaussian", seed=11)
             w0 = smooth_bump(env.spec, 1.0)
-            traj = solve_linear_pam(PamProblem(env, w0, T=0.2, dt=1e-3))
+            traj = solve_linear_pam(PamProblem(env, w0, T=0.2, dt=1e-3),
+                                    store_times=np.arange(0, 201, 5) * 1e-3)
             params = TimeWeightedNormParams(
                 0.3, 0.2, BesovParams(1.0, flavor="dirichlet"),
                 include_time_holder=True)

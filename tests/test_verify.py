@@ -161,6 +161,19 @@ class TestReportSerialization:
                 for a in (0.4, 0.5)]
         assert amps[0] != amps[1]
 
+    def test_report_hash_names_time_grids(self):
+        env = build_environment(8, 2, 1, "gaussian", seed=1)
+        z = Field.zeros(env.spec)
+        laplace = [verify.test_laplace_functional(env, L=2, t=0.1, phi0=z, replicas=2,
+                                                  s_grid=grid).config_hash
+                   for grid in ([0.0, 0.1], [0.0, 0.05, 0.1], [0.0, 0.1])]
+        ordering = [verify.test_ordering(env, Ls=[2], T=0.02, snapshot_times=snaps,
+                                         replicas=2, L_max=4).config_hash
+                    for snaps in ([0.0, 0.02], [0.0, 0.01, 0.02], [0.0, 0.02])]
+        for hashes in (laplace, ordering):
+            assert hashes[0] != hashes[1]
+            assert hashes[0] == hashes[2]
+
     def test_config_hash_stable(self):
         a = verify.config_hash(test="t", n=8)
         b = verify.config_hash(n=8, test="t")
