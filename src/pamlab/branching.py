@@ -5,33 +5,50 @@ Dynamics per particle at an interior site x: jump to each of the 2d nearest
 neighbors at rate n^2, branch (one offspring at x) at rate xi_e_+(x), die at
 rate xi_e_-(x).  Each particle carries a single exponential clock at its
 total rate; at a firing the event type is drawn categorically.  Rates depend
-only on the particle's own position, so clocks never need rescanning: a
-binary heap over next-event times drives the loop.
+only on the particle's own position and particles never interact, so no
+global event order is needed: every live particle of every replica of a call
+advances in lockstep, one event per particle per iteration.  This is exact
+per-particle Gillespie, with no time step.
 
-The ambient process is killed at the walls of the ambient box (side L_max);
-killed projections for smaller boxes L are computed afterwards from the
-recorded paths.  A particle's contribution to the box-L process ends at its
-first hit of that box's boundary, and children born to a parent after the
-parent's box-L kill never enter the box-L process (kills are inherited).
-Both facts together make each projection a Markov process with the killed
-generator while keeping, pathwise, the measure ordering in L.
+Every draw comes from a stateless 64-bit mix keyed by the replica seed, the
+particle's key and the particle's event index; a child's key derives from
+its parent's key and the event index of its birth.  A replica's trajectory
+therefore depends only on its own seed, never on the batch it runs in.
+
+The ambient process is killed at the walls of the ambient box (side L_max).
+A particle's contribution to the box-L process ends at its first hit of
+that box's boundary shell, and children born to a parent after the parent's
+box-L kill never enter the box-L process (kills are inherited).  Both facts
+together make each projection a Markov process with the killed generator
+while keeping, pathwise, the measure ordering in L.
+
+``simulate_replicas`` folds the observables of the killed processes into
+the loop (snapshot occupation, pathwise integrals, per-particle birth and
+end times) and keeps no event history; ``simulate`` records one replica's
+full history, and ``kill_schedule``, ``kill_and_project``,
+``pathwise_integrals`` and ``sup_total_mass`` recompute the same
+observables from that record, one path at a time.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
-import random
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .environment import _GOLDEN, _mix64, _unit_interval
 from .lattice import LatticeSpec
 
 EVENT_KINDS = ("jump", "branch", "death", "absorbed")
 JUMP, BRANCH, DEATH, ABSORBED = range(4)
+
+_KIND_SALT = np.uint64(0xD1B54A32D192ED03)
+_CHILD_SALT = np.uint64(0x8CB92BA72F3D8DD7)
+_SURVIVE = 4                             # engine code: next clock beyond the horizon
+_BIRTH_STOP = 4                          # births beyond this many caps halt a replica
 
 
 def particle_count(spec: LatticeSpec, rho: float | None = None) -> int:
@@ -39,23 +56,6 @@ def particle_count(spec: LatticeSpec, rho: float | None = None) -> int:
     if rho is None:
         rho = spec.d / 2.0
     return int(math.floor(spec.n ** rho))
-
-
-@dataclass
-class LabelledState:
-    """Live particle positions (multiset of flat ambient sites) and clock."""
-
-    positions: list
-    clock: float
-
-
-def init_state(spec: LatticeSpec, rho: float | None = None) -> LabelledState:
-    """floor(n^rho) particles at the origin, time zero."""
-    if not spec.centered:
-        raise ValueError("the labelled process starts at the origin of a centered box")
-    k = particle_count(spec, rho)
-    origin = flat_index(spec, spec.origin_index)
-    return LabelledState(positions=[origin] * k, clock=0.0)
 
 
 def flat_index(spec: LatticeSpec, idx: tuple) -> int:
@@ -142,115 +142,379 @@ class SimulationResult:
         return self.rates.spec
 
 
-def _neighbor_table(spec: LatticeSpec):
-    """Flat neighbor indices, ordered (+x, -x[, +y, -y]); boundary rows None."""
-    S = spec.box_sites_per_axis
-    total = S ** spec.d
-    bmask = spec.boundary_mask().ravel()
-    nbr = [None] * total
-    if spec.d == 1:
-        for i in range(total):
-            if not bmask[i]:
-                nbr[i] = (i + 1, i - 1)
-    else:
-        for i in range(total):
-            if not bmask[i]:
-                nbr[i] = (i + S, i - S, i + 1, i - 1)
-    return nbr, bmask
+def _neighbor_sites(spec: LatticeSpec) -> np.ndarray:
+    """Flat neighbor indices per site, ordered (+x, -x[, +y, -y]).
 
-
-def simulate(rates: AmbientRates, horizon: float, seed: int,
-             cap: int = 1_000_000, rho: float | None = None,
-             collect_log: bool = False) -> SimulationResult:
-    """One exact trajectory of the labelled process up to the horizon.
-
-    Deterministic given the seed.  If the live population ever exceeds the
-    cap the run stops and is flagged exploded, with the partial log kept.
+    Rows of boundary sites are never read: no particle stays on the ambient
+    boundary.  Indices are clipped into range there.
     """
+    S = spec.box_sites_per_axis
+    sites = np.arange(S ** spec.d)
+    steps = (1,) if spec.d == 1 else (S, 1)
+    cols = [sites + sign * s for s in steps for sign in (1, -1)]
+    return np.clip(np.stack(cols, axis=1), 0, sites.size - 1)
+
+
+def _check_boxes(spec: LatticeSpec, Ls) -> list:
+    Ls = list(Ls)
+    for L in Ls:
+        if L % 2 or L < 2:
+            raise ValueError(f"box sides must be even positive, got {L}")
+        if L > spec.L:
+            raise ValueError(f"box side {L} exceeds the ambient side {spec.L}")
+    return Ls
+
+
+def _running_peak(rep, start, end, replicas: int) -> np.ndarray:
+    """Per replica, the largest number of windows [start, end) open at once;
+    ends come before starts at equal times, and end = inf never closes."""
+    keep = end > start
+    rep, start, end = rep[keep], start[keep], end[keep]
+    closes = np.isfinite(end)
+    r = np.concatenate([rep, rep[closes]])
+    when = np.concatenate([start, end[closes]])
+    step = np.concatenate([np.ones(rep.size, np.int64), -np.ones(int(closes.sum()), np.int64)])
+    order = np.lexsort((step, when, r))
+    r, step = r[order], step[order]
+    level = np.cumsum(step)
+    best = np.zeros(replicas, np.int64)
+    if r.size == 0:
+        return best
+    first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    level -= np.repeat(level[first] - step[first], np.diff(np.r_[first, r.size]))
+    best[r[first]] = np.maximum.reduceat(level, first)
+    return best
+
+
+@dataclass
+class _Run:
+    """Raw output of the lockstep engine for one call.  Per-particle columns
+    are indexed by creation order."""
+
+    initial_count: int
+    stopped: np.ndarray          # replicas halted by the birth stop
+    rep: np.ndarray
+    birth: np.ndarray
+    end: np.ndarray              # ambient death time; inf if alive at the horizon
+    cause: np.ndarray            # DEATH, ABSORBED or _SURVIVE (alive or halted)
+    parent: np.ndarray           # -1 for the initial generation
+    birth_site: np.ndarray
+    tau: np.ndarray              # (len(Ls), particles) box-L kill times
+    occupation: list             # per L: sorted atom codes and their counts
+    integrals: dict              # (L, name) -> per replica sum of dt * f(site)
+    events: dict | None          # event columns in firing order (record=True)
+
+
+def _grow(columns: dict, size: int) -> None:
+    """Double the last axis of every column until it holds ``size`` entries."""
+    for name, col in columns.items():
+        if col.shape[-1] < size:
+            new = np.empty(col.shape[:-1] + (max(size, 2 * col.shape[-1]),), col.dtype)
+            new[..., :col.shape[-1]] = col
+            columns[name] = new
+
+
+def _advance(rates: AmbientRates, horizon: float, seeds, cap: int, rho,
+             Ls=(), times=(), site_funcs=None, record=False) -> _Run:
+    """The lockstep engine: every live particle of every replica fires its
+    next event in each iteration, until no particle is left before the
+    horizon.  Observables of the box-L processes are folded in per segment
+    [t, t_next) of constant position, before the event is applied."""
     spec = rates.spec
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n2 = float(spec.n) ** 2
-    jump_total = 2 * spec.d * n2
+    ndir = 2 * spec.d
+    jump_total = ndir * n2
     xi = rates.xi_e.ravel()
-    beta = np.maximum(xi, 0.0).tolist()
-    delta = np.maximum(-xi, 0.0).tolist()
-    total_rate = [jump_total + b + dd for b, dd in zip(beta, delta)]
-    nbr, bmask = _neighbor_table(spec)
+    branch_cut = jump_total + np.maximum(xi, 0.0)
+    total_rate = branch_cut + np.maximum(-xi, 0.0)
+    nbr = _neighbor_sites(spec)
+    bmask = spec.boundary_mask().ravel()
+    maxc = _max_coord_table(spec)
+    shells = [L * spec.n // 2 for L in Ls]
+    nL = len(Ls)
+    S = bmask.size
+    times = np.asarray(times, dtype=np.float64)
+    nT = times.size
+    funcs = {name: np.asarray(v, dtype=np.float64).ravel()
+             for name, v in (site_funcs or {}).items()}
 
     k0 = particle_count(spec, rho)
     origin = flat_index(spec, spec.origin_index)
     if bmask[origin]:
         raise ValueError("origin lies on the ambient boundary; enlarge L_max")
 
-    rng = random.Random(seed)
-    expo = rng.expovariate
-    unif = rng.random
+    R = len(seeds)
+    seeds64 = np.asarray(seeds, dtype=np.int64).astype(np.uint64)
+    rep = np.repeat(np.arange(R), k0)
+    key = _mix64(_mix64(seeds64 + _GOLDEN)[rep]
+                 + _GOLDEN * np.tile(np.arange(1, k0 + 1, dtype=np.uint64), R))
+    m = rep.size
+    # live particles: draw counter key + GOLDEN * (index of the next event),
+    # site, time of the last event, box-L kill times, creation index
+    ctr = key + _GOLDEN
+    site = np.full(m, origin, np.intp)
+    t = np.zeros(m)
+    tau = np.full((nL, m), np.inf)
+    pid = np.arange(m)
+    cols = {"rep": rep.copy(), "birth": np.zeros(m), "end": np.full(m, np.inf),
+            "cause": np.full(m, _SURVIVE, np.int8), "parent": np.full(m, -1),
+            "birth_site": site.copy(), "tau": tau.copy()}
+    count = m
 
-    pos = [origin] * k0
-    birth = [0.0] * k0
-    parent = [-1] * k0
-    path_t = [[0.0] for _ in range(k0)]
-    path_s = [[origin] for _ in range(k0)]
-    death_t = [math.inf] * k0
-    cause = ["alive"] * k0
+    births = np.zeros(R, np.int64)
+    stopped = np.zeros(R, bool)
+    occ_codes = []                       # atom codes of every box, tagged by box
+    integrals = {(L, name): np.zeros(R) for L in Ls for name in funcs}
+    events = {"pid": [], "t": [], "kind": [], "site": []} if record else None
 
-    heap = [(expo(total_rate[origin]), i) for i in range(k0)]
-    heapq.heapify(heap)
-    alive = k0
-    exploded = False
-    events = [] if collect_log else None
+    while rep.size:
+        h = _mix64(ctr)
+        rate = total_rate[site]
+        t_next = t - np.log(_unit_interval(h)) / rate
+        u = _unit_interval(_mix64(h ^ _KIND_SALT)) * rate
+        alive_L = np.isinf(tau)
 
-    while heap and alive > 0:
-        t, pid = heapq.heappop(heap)
-        if t > horizon:
-            break
-        x = pos[pid]
-        u = unif() * total_rate[x]
-        if u < jump_total:
-            y = nbr[x][int(u / n2)]
-            pos[pid] = y
-            path_t[pid].append(t)
-            path_s[pid].append(y)
-            if bmask[y]:
-                death_t[pid] = t
-                cause[pid] = "absorbed"
-                alive -= 1
-                if collect_log:
-                    events.append((t, pid, ABSORBED, y))
-                continue
-            if collect_log:
-                events.append((t, pid, JUMP, y))
-        elif u < jump_total + beta[x]:
-            cid = len(pos)
-            pos.append(x)
-            birth.append(t)
-            parent.append(pid)
-            path_t.append([t])
-            path_s.append([x])
-            death_t.append(math.inf)
-            cause.append("alive")
-            heapq.heappush(heap, (t + expo(total_rate[x]), cid))
-            alive += 1
-            if collect_log:
-                events.append((t, pid, BRANCH, x))
-            if alive > cap:
-                exploded = True
-                break
-        else:
-            death_t[pid] = t
-            cause[pid] = "died"
-            alive -= 1
-            if collect_log:
-                events.append((t, pid, DEATH, x))
+        if nT:
+            lo = np.searchsorted(times, t, "left")
+            hi = np.searchsorted(times, t_next, "left")
+            cov = (hi > lo).nonzero()[0]
+            while cov.size:
+                code = (rep[cov] * nT + lo[cov]) * S + site[cov]
+                for j in range(nL):
+                    occ_codes.append(code[alive_L[j, cov]] * nL + j)
+                lo[cov] += 1
+                cov = cov[lo[cov] < hi[cov]]
+        if funcs:
+            seg = np.minimum(t_next, horizon) - t
+            for j, L in enumerate(Ls):
+                a = alive_L[j]
+                r_a, seg_a, site_a = rep[a], seg[a], site[a]
+                for name, f in funcs.items():
+                    integrals[(L, name)] += np.bincount(
+                        r_a, weights=seg_a * f[site_a], minlength=R)
+
+        # JUMP below jump_total, BRANCH below branch_cut, DEATH above
+        kind = (u >= jump_total).view(np.int8) + (u >= branch_cut[site]).view(np.int8)
+        kind[t_next > horizon] = _SURVIVE
+        j_idx = (kind == JUMP).nonzero()[0]
+        if j_idx.size:
+            y = nbr[site[j_idx], np.minimum((u[j_idx] / n2).astype(np.intp), ndir - 1)]
+            reach = maxc[y]
+            for j, shell in enumerate(shells):
+                hit = j_idx[alive_L[j, j_idx] & (reach >= shell)]
+                tau[j, hit] = t_next[hit]
+            site[j_idx] = y
+            kind[j_idx[bmask[y]]] = ABSORBED
+        if record:
+            ev = (kind < _SURVIVE).nonzero()[0]
+            for name, arr in (("pid", pid), ("t", t_next), ("kind", kind), ("site", site)):
+                events[name].append(arr[ev])
+
+        ended = kind >= DEATH
+        b_idx = (kind == BRANCH).nonzero()[0]
+        nb = b_idx.size
+        if not nb and not ended.any():
+            t = t_next
+            ctr += _GOLDEN
             continue
-        heapq.heappush(heap, (t + expo(total_rate[pos[pid]]), pid))
+        g_idx = ended.nonzero()[0]
+        g_pid = pid[g_idx]
+        g_kind = kind[g_idx]
+        cols["end"][g_pid] = np.where(g_kind == _SURVIVE, np.inf, t_next[g_idx])
+        cols["cause"][g_pid] = g_kind
+        cols["tau"][:, g_pid] = tau[:, g_idx]
+        keep = ~ended
+        if not nb:
+            rep, ctr, site, t = rep[keep], ctr[keep] + _GOLDEN, site[keep], t_next[keep]
+            tau, pid = tau[:, keep], pid[keep]
+            continue
 
-    particles = [
-        ParticleRecord(i, parent[i], birth[i], path_t[i], path_s[i], death_t[i], cause[i])
-        for i in range(len(pos))
-    ]
-    return SimulationResult(rates, horizon, seed, k0, particles, events, exploded)
+        c_pid = np.arange(count, count + nb)
+        count += nb
+        _grow(cols, count)
+        c_t = t_next[b_idx]
+        cols["rep"][c_pid] = rep[b_idx]
+        cols["birth"][c_pid] = c_t
+        cols["parent"][c_pid] = pid[b_idx]
+        cols["birth_site"][c_pid] = site[b_idx]
+        births += np.bincount(rep[b_idx], minlength=R)
+        rep = np.concatenate([rep[keep], rep[b_idx]])
+        ctr = np.concatenate([ctr[keep], _mix64(h[b_idx] ^ _CHILD_SALT)]) + _GOLDEN
+        site = np.concatenate([site[keep], site[b_idx]])
+        t = np.concatenate([t_next[keep], c_t])
+        # a child of a parent already killed in box L is dead on arrival there
+        tau = np.concatenate([tau[:, keep], np.where(alive_L[:, b_idx], np.inf, c_t)], axis=1)
+        pid = np.concatenate([pid[keep], c_pid])
+        over = (births > _BIRTH_STOP * cap) & ~stopped
+        if over.any():
+            # memory bound: the replica is halted and exploded, its particles left alive
+            stopped |= over
+            halt = over[rep]
+            cols["end"][pid[halt]] = np.inf
+            cols["cause"][pid[halt]] = _SURVIVE
+            cols["tau"][:, pid[halt]] = tau[:, halt]
+            keep = ~halt
+            rep, ctr, site, t = rep[keep], ctr[keep], site[keep], t[keep]
+            tau, pid = tau[:, keep], pid[keep]
+
+    codes = np.concatenate(occ_codes) if occ_codes else np.zeros(0, np.intp)
+    occupation = [np.unique(codes[codes % nL == j] // nL, return_counts=True)
+                  for j in range(nL)]
+    if record:
+        events = {name: np.concatenate(chunks) for name, chunks in events.items()}
+    return _Run(k0, stopped, occupation=occupation, integrals=integrals, events=events,
+                **{name: col[..., :count] for name, col in cols.items()})
+
+
+def _exploded(run: _Run, cap: int) -> np.ndarray:
+    peak = _running_peak(run.rep, run.birth, run.end, run.stopped.size)
+    return run.stopped | (peak > cap)
+
+
+def simulate(rates: AmbientRates, horizon: float, seed: int,
+             cap: int = 1_000_000, rho: float | None = None,
+             collect_log: bool = False) -> SimulationResult:
+    """One exact trajectory of the labelled process up to the horizon, with
+    its full history recorded.
+
+    The lockstep engine of ``simulate_replicas`` run on the one seed: every
+    draw is keyed by (seed, particle key, event index), so the trajectory is
+    the one replica ``seed`` follows inside any batch.  Particle ids number
+    the particles in birth order; the event log is sorted by time.
+
+    The run is flagged exploded when its live population exceeded ``cap``
+    at some time, computed exactly from birth and end times.  As a memory
+    bound, a run whose births pass ``4 * cap`` is halted and flagged
+    exploded too, whatever its peak; the particles live at the halt keep
+    ``death_time`` inf with cause 'alive'.
+    """
+    run = _advance(rates, horizon, [seed], cap, rho, record=True)
+    ev = run.events
+
+    # renumber in birth order (ties, such as the initial generation, by creation)
+    order = np.argsort(run.birth, kind="stable")
+    new_id = np.empty(order.size, np.intp)
+    new_id[order] = np.arange(order.size)
+    parent = np.where(run.parent < 0, -1, new_id[run.parent])
+
+    ev_id = new_id[ev["pid"]]
+    events = None
+    if collect_log:
+        by_time = np.lexsort((ev_id, ev["t"]))
+        events = list(zip(ev["t"][by_time].tolist(), ev_id[by_time].tolist(),
+                          ev["kind"][by_time].tolist(), ev["site"][by_time].tolist()))
+
+    moves = (ev["kind"] == JUMP) | (ev["kind"] == ABSORBED)
+    by_particle = np.lexsort((ev["t"][moves], ev_id[moves]))
+    mv_t = ev["t"][moves][by_particle].tolist()
+    mv_site = ev["site"][moves][by_particle].tolist()
+    bounds = np.searchsorted(ev_id[moves][by_particle], np.arange(order.size + 1)).tolist()
+
+    causes = {DEATH: "died", ABSORBED: "absorbed", _SURVIVE: "alive"}
+    particles = []
+    for i, row in enumerate(order.tolist()):
+        b = float(run.birth[row])
+        lo, hi = bounds[i], bounds[i + 1]
+        particles.append(ParticleRecord(
+            i, int(parent[row]), b, [b] + mv_t[lo:hi],
+            [int(run.birth_site[row])] + mv_site[lo:hi],
+            float(run.end[row]), causes[int(run.cause[row])]))
+    exploded = bool(_exploded(run, cap)[0])
+    return SimulationResult(rates, horizon, seed, run.initial_count, particles,
+                            events, exploded)
+
+
+@dataclass
+class ReplicaBatch:
+    """Folded observables of the box-L processes, one entry per replica.
+
+    ``occupation[L]`` holds the sorted atom codes (replica, snapshot index,
+    site) with their particle counts; ``integrals[(L, name)]`` the exact
+    time integrals int_0^horizon <mu_r^L, f> dr; ``exploded`` flags the
+    replicas whose results callers must leave out.
+    """
+
+    spec: LatticeSpec
+    seeds: list
+    horizon: float
+    initial_count: int
+    times: list
+    Ls: list
+    exploded: np.ndarray
+    occupation: dict
+    integrals: dict
+    _run: _Run
+
+    @property
+    def weight(self) -> float:
+        return 1.0 / self.initial_count
+
+    def atoms(self, L: int):
+        """(replica, snapshot index, flat site, count) arrays of box L's atoms."""
+        codes, counts = self.occupation[L]
+        S = self.spec.site_count
+        cell, site = np.divmod(codes, S)
+        rep, ti = np.divmod(cell, len(self.times))
+        return rep, ti, site, counts
+
+    def counts_at(self, L: int, codes: np.ndarray) -> np.ndarray:
+        """Box L's particle counts at the given atom codes, 0 where it has none."""
+        keys, counts = self.occupation[L]
+        pos = np.searchsorted(keys, codes)
+        hit = pos < keys.size
+        hit[hit] = keys[pos[hit]] == codes[hit]
+        out = np.zeros(codes.size, np.int64)
+        out[hit] = counts[pos[hit]]
+        return out
+
+    def pairings(self, ti: int, L: int, site_values: np.ndarray) -> np.ndarray:
+        """<mu^L_t, f> per replica at snapshot ti."""
+        rep, tis, site, counts = self.atoms(L)
+        sel = tis == ti
+        flat = np.asarray(site_values, dtype=np.float64).ravel()
+        sums = np.bincount(rep[sel], weights=counts[sel] * flat[site[sel]],
+                           minlength=len(self.seeds))
+        return self.weight * sums
+
+    def sup_total_mass(self, L: int) -> np.ndarray:
+        """sup over [0, horizon] of the box-L total mass, per replica."""
+        run = self._run
+        end = np.minimum(run.end, run.tau[self.Ls.index(L)])
+        peak = _running_peak(run.rep, run.birth, end, len(self.seeds))
+        return self.weight * peak
+
+
+def simulate_replicas(rates: AmbientRates, horizon: float, seeds, Ls=(),
+                      snapshot_times=(), site_funcs=None,
+                      cap: int = 1_000_000) -> ReplicaBatch:
+    """Run one replica per seed in lockstep and fold the killed observables.
+
+    For every box side in ``Ls``: occupation counts at each snapshot time,
+    int_0^horizon <mu_r^L, f> dr for each array of ``site_funcs`` (values
+    over the ambient box), and the birth and end times from which
+    ``ReplicaBatch.sup_total_mass`` takes the sup of the total mass.
+    Replica ``seeds[i]`` follows the trajectory ``simulate(rates, horizon,
+    seeds[i])`` records, whatever the other seeds; memory grows with the
+    number of particles, not of events.  ``exploded`` follows the rule of
+    ``simulate``: peak live population over ``cap``, or births over
+    ``4 * cap``.
+    """
+    seeds = [int(s) for s in seeds]
+    Ls = _check_boxes(rates.spec, Ls)
+    times = sorted(float(s) for s in snapshot_times)
+    if times and times[-1] > horizon:
+        raise ValueError("snapshot beyond the simulated horizon")
+    run = _advance(rates, horizon, seeds, cap, None, Ls, times, site_funcs)
+    w = 1.0 / run.initial_count
+    return ReplicaBatch(
+        spec=rates.spec, seeds=seeds, horizon=horizon,
+        initial_count=run.initial_count, times=times, Ls=Ls,
+        exploded=_exploded(run, cap),
+        occupation=dict(zip(Ls, run.occupation)),
+        integrals={k: w * v for k, v in run.integrals.items()},
+        _run=run)
 
 
 def _max_coord_table(spec: LatticeSpec) -> np.ndarray:
@@ -275,14 +539,10 @@ class KillSchedule:
 
 
 def kill_schedule(result: SimulationResult, Ls) -> KillSchedule:
+    """Per-path reference for the kill times ``simulate_replicas`` folds."""
     spec = result.spec
     maxc = _max_coord_table(spec)
-    Ls = list(Ls)
-    for L in Ls:
-        if L % 2 or L < 2:
-            raise ValueError(f"box sides must be even positive, got {L}")
-        if L > spec.L:
-            raise ValueError(f"box side {L} exceeds the ambient side {spec.L}")
+    Ls = _check_boxes(spec, Ls)
     shells = {L: L * spec.n // 2 for L in Ls}
     tau = {L: [] for L in Ls}
     for p in result.particles:
@@ -295,12 +555,6 @@ def kill_schedule(result: SimulationResult, Ls) -> KillSchedule:
             hits = np.nonzero(mx >= shell)[0]
             tau[L].append(p.path_times[hits[0]] if hits.size else math.inf)
     return KillSchedule(Ls, tau)
-
-
-def _alive_window(p: ParticleRecord, tau_L: float, horizon: float):
-    """[start, end) of the particle's contribution to the box-L process."""
-    end = min(p.death_time, tau_L, horizon)
-    return p.birth, end
 
 
 @dataclass
@@ -339,9 +593,9 @@ def kill_and_project(result: SimulationResult, Ls, snapshot_times) -> EmpiricalM
     counts = {(ti, L): {} for ti in range(len(times)) for L in sched.Ls}
     for i, p in enumerate(result.particles):
         for L in sched.Ls:
-            start, end = _alive_window(p, sched.tau[L][i], math.inf)
+            end = min(p.death_time, sched.tau[L][i])
             for ti, t in enumerate(times):
-                if start <= t < end:
+                if p.birth <= t < end:
                     site = p.position_at(t)
                     bucket = counts[(ti, L)]
                     bucket[site] = bucket.get(site, 0) + 1
@@ -364,7 +618,7 @@ def pathwise_integrals(result: SimulationResult, Ls, T: float, site_funcs: dict)
         pt = p.path_times
         ps = p.path_sites
         for L in sched.Ls:
-            start, end = _alive_window(p, sched.tau[L][i], T)
+            start, end = p.birth, min(p.death_time, sched.tau[L][i], T)
             if end <= start:
                 continue
             for k in range(len(pt)):
@@ -387,7 +641,7 @@ def sup_total_mass(result: SimulationResult, Ls, T: float) -> dict:
     for L in sched.Ls:
         deltas = []
         for i, p in enumerate(result.particles):
-            start, end = _alive_window(p, sched.tau[L][i], math.inf)
+            start, end = p.birth, min(p.death_time, sched.tau[L][i])
             if end <= start or start > T:
                 continue
             deltas.append((start, 1))

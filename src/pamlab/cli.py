@@ -22,13 +22,7 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 import numpy as np
 
 from . import __version__, io as pio, verify as pverify
-from .branching import (
-    ambient_rates,
-    kill_and_project,
-    particle_count,
-    simulate,
-    write_event_log,
-)
+from .branching import ambient_rates, simulate, simulate_replicas, write_event_log
 from .environment import (
     DISTRIBUTIONS,
     build_environment,
@@ -189,7 +183,7 @@ def _env_path(outdir: str, n: int, seed: int) -> str:
 
 
 def _load_or_build_env(cfg: RunConfig, outdir: str, n: int, seed: int,
-                       require_archive: bool = False, L: int | None = None):
+                       L: int | None = None):
     L = max(cfg.L_list) if L is None else L
     if cfg.zero_potential:
         from .lattice import LatticeSpec
@@ -207,9 +201,6 @@ def _load_or_build_env(cfg: RunConfig, outdir: str, n: int, seed: int,
                 f"d={cfg.d}, phi={cfg.phi}, n={n}, seed={seed}")
         if env.spec.L == L:
             return env
-    elif require_archive:
-        raise FileNotFoundError(
-            f"environment archive missing: {path} (run gen-env first)")
     return build_environment(n, L, cfg.d, cfg.phi, seed)
 
 
@@ -258,39 +249,34 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
 def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     manifest = RunManifest("simulate", cfg)
     snap_times = [0.0, cfg.T / 2, cfg.T]
+    seeds = range(cfg.seed_base, cfg.seed_base + cfg.replicas)
     for n in sorted(cfg.n_list):
         for seed in sorted(cfg.seeds):
             env = _load_or_build_env(cfg, outdir, n, seed)
             manifest.derive(f"kappa_n_n{n}_seed{seed}", repr(env.c_n))
             rates = ambient_rates(env, cfg.L_max)
+            # replica 0 again, recorded: the batch follows the same trajectory
+            first = simulate(rates, cfg.T, seed=seeds[0], cap=cfg.cap, collect_log=True)
+            lpath = os.path.join(outdir, f"events_n{n}_seed{seed}.bin")
+            write_event_log(first.events, lpath)
+            manifest.add_output(lpath)
+            batch = simulate_replicas(rates, cfg.T, seeds, cfg.L_list, snap_times, cap=cfg.cap)
+            used = int((~batch.exploded).sum())
             mean_counts = {}
-            exploded = 0
-            used = 0
-            for i in range(cfg.replicas):
-                res = simulate(rates, cfg.T, seed=cfg.seed_base + i, cap=cfg.cap,
-                               collect_log=(i == 0))
-                if i == 0:
-                    lpath = os.path.join(outdir, f"events_n{n}_seed{seed}.bin")
-                    write_event_log(res.events, lpath)
-                    manifest.add_output(lpath)
-                if res.exploded:
-                    exploded += 1
-                    continue
-                used += 1
-                emp = kill_and_project(res, cfg.L_list, snap_times)
-                for (ti, L), bucket in emp.counts.items():
-                    for site, cnt in bucket.items():
-                        key = (snap_times[ti], L, site)
-                        mean_counts[key] = mean_counts.get(key, 0) + cnt
-            weight = 1.0 / particle_count(rates.spec)
+            for L in cfg.L_list:
+                rep, ti, site, cnt = batch.atoms(L)
+                keep = ~batch.exploded[rep]
+                for i, s, c in zip(ti[keep].tolist(), site[keep].tolist(), cnt[keep].tolist()):
+                    key = (batch.times[i], L, s)
+                    mean_counts[key] = mean_counts.get(key, 0) + c
             rows = [
-                (t, L, pio.site_label(rates.spec, site), total / used * weight)
+                (t, L, pio.site_label(rates.spec, site), total / used * batch.weight)
                 for (t, L, site), total in sorted(mean_counts.items())
             ]
             mpath = os.path.join(outdir, f"measures_n{n}_seed{seed}.csv")
             pio.write_measure_csv(rows, mpath)
             manifest.add_output(mpath)
-            manifest.derive(f"exploded_n{n}_seed{seed}", exploded)
+            manifest.derive(f"exploded_n{n}_seed{seed}", cfg.replicas - used)
     manifest.write(outdir)
     return 0
 

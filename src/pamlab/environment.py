@@ -62,7 +62,11 @@ def site_uniforms(seed: int, coords) -> np.ndarray:
             g64 = np.asarray(g, dtype=np.int64).astype(np.uint64)
             h = _mix64(h + _AXIS_SALT[axis] + _GOLDEN * g64)
         h = _mix64(h + _GOLDEN)
-    # 53-bit mantissa, strictly inside (0, 1)
+    return _unit_interval(h)
+
+
+def _unit_interval(h: np.ndarray) -> np.ndarray:
+    """Uniforms from 64-bit hashes: a 53-bit mantissa, strictly inside (0, 1)."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
 
 

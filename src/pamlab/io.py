@@ -1,9 +1,9 @@
-"""Dump formats: fields, spectra, environment archives, norm reports.
+"""Dump formats: fields, environment archives, measure snapshots, norm reports.
 
 Text dumps use ``repr`` for floats (shortest round-trip representation), so
-reading a dump back reproduces the array bit for bit; the binary layout is
-little-endian float64, row-major, for large fields.  Every format starts
-with the ``n,L,d,flavor`` header line.
+reading a dump back reproduces the array bit for bit.  Field dumps, and
+each field block of an environment archive, start with the ``n,L,d,flavor``
+header line.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from .lattice import Field, LatticeSpec
 
-_BINARY_MAGIC = b"pamlab-field-v1\n"
 _ENV_MAGIC = "pamlab-env-v1"
 
 
@@ -41,43 +40,6 @@ def read_field_text(path):
             idx, val = line.split(",")
             vals[int(idx)] = float(val)
     return Field(spec, vals.reshape(spec.shape)), flavor
-
-
-def write_field_binary(field: Field, path, flavor: str = "none") -> None:
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write((_header(field.spec, flavor) + "\n").encode())
-        fh.write(field.values.astype("<f8").tobytes(order="C"))
-
-
-def read_field_binary(path):
-    with open(path, "rb") as fh:
-        if fh.read(len(_BINARY_MAGIC)) != _BINARY_MAGIC:
-            raise ValueError(f"not a binary field dump: {path}")
-        spec, flavor = _parse_header(fh.readline().decode())
-        buf = fh.read(8 * spec.site_count)
-    vals = np.frombuffer(buf, dtype="<f8").reshape(spec.shape)
-    return Field(spec, vals.copy()), flavor
-
-
-def write_spectrum_text(coeffs, path) -> None:
-    """`m1[;m2],coefficient` rows on the flavor's mode grid."""
-    from .spectral import mode_axis
-
-    spec = coeffs.spec
-    modes = mode_axis(spec, coeffs.flavor)
-    with open(path, "w") as fh:
-        fh.write(_header(spec, coeffs.flavor) + "\n")
-        flat = coeffs.coeffs.ravel()
-        if spec.d == 1:
-            for m, v in zip(modes, flat):
-                fh.write(f"{m},{float(v)!r}\n")
-        else:
-            k = 0
-            for m1 in modes:
-                for m2 in modes:
-                    fh.write(f"{m1};{m2},{float(flat[k])!r}\n")
-                    k += 1
 
 
 def write_environment(env, path) -> None:

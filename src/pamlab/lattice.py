@@ -75,10 +75,6 @@ class LatticeSpec:
         return self.box_sites_per_axis ** self.d
 
     @property
-    def torus_site_count(self) -> int:
-        return self.torus_sites_per_axis ** self.d
-
-    @property
     def origin_index(self) -> tuple:
         """Multi-index of the coordinate origin (centered boxes only)."""
         if not self.centered:

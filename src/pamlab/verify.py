@@ -3,12 +3,15 @@
 Every statistical test reports its statistic, reference value, standard
 error and replica count, and passes at the pre-registered 3-standard-error
 threshold; exact tests (measure ordering, t = 0 duality, the zero initial
-condition of the Laplace functional) carry tolerance zero.  Replicas whose
-population hit the cap are excluded and counted; a test fails outright if
+condition of the Laplace functional) carry tolerance zero.  Replicas that
+exploded (live population over the cap, or births over four caps, where the
+simulator halts them) are excluded and counted; a test fails outright if
 more than one percent exploded.
 
 All tests are deterministic given the environment seed and the replica seed
-base: replica seeds are ``seed_base + i``.
+base: replica seeds are ``seed_base + i``.  Each test runs its replicas as
+one ``branching.simulate_replicas`` batch; a replica's outcome depends only
+on its own seed.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .branching import (
-    ambient_rates,
-    kill_and_project,
-    pathwise_integrals,
-    simulate,
-    sup_total_mass,
-)
+from .branching import ambient_rates, particle_count, simulate_replicas
 from .lattice import Field
 from .solver import apply_hamiltonian, semigroup_apply, solve_dual_fkpp
 
@@ -91,17 +88,8 @@ def smooth_bump(spec, amplitude: float = 0.5) -> Field:
     return Field(spec, vals)
 
 
-def _run_replicas(rates, horizon, replicas, seed_base, cap, per_replica):
-    """Drive the replica loop; returns (collected values, exploded count)."""
-    out = []
-    exploded = 0
-    for i in range(replicas):
-        res = simulate(rates, horizon, seed=seed_base + i, cap=cap)
-        if res.exploded:
-            exploded += 1
-            continue
-        out.append(per_replica(res))
-    return out, exploded
+def _seeds(seed_base: int, replicas: int) -> range:
+    return range(seed_base, seed_base + replicas)
 
 
 def _statistical_verdict(exploded: int, replicas: int, deviation: float, bound: float) -> bool:
@@ -129,19 +117,19 @@ def test_moment_duality(env, L: int, t: float, phi: Field, replicas: int,
                         replicas=replicas, seed_base=seed_base, L_max=L_max,
                         phi=_digest(phi.values), **_environment_identity(env))
 
-    def one(res):
-        return kill_and_project(res, [L], [t]).pair(0, L, _embed(phi, spec, rates.spec))
-
-    vals, exploded = _run_replicas(rates, t if t > 0 else 1e-9, replicas, seed_base, cap, one)
-    arr = np.array(vals)
+    batch = simulate_replicas(rates, t if t > 0 else 1e-9, _seeds(seed_base, replicas),
+                              [L], [t], cap=cap)
+    used = ~batch.exploded
+    exploded = int(batch.exploded.sum())
+    arr = batch.pairings(0, L, _embed(phi, spec, rates.spec))[used]
     if t == 0.0:
         # exact: <mu_0, phi> = phi(0) with zero tolerance
         dev = float(np.abs(arr - ref).max()) if arr.size else math.inf
-        return TestReport("moment_duality", float(arr.mean()), ref, 0.0, len(vals),
+        return TestReport("moment_duality", float(arr.mean()), ref, 0.0, len(arr),
                           dev == 0.0, chash, exact=True, exploded=exploded)
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else math.inf
     dev = abs(float(arr.mean()) - ref)
-    return TestReport("moment_duality", float(arr.mean()), ref, se, len(vals),
+    return TestReport("moment_duality", float(arr.mean()), ref, se, len(arr),
                       _statistical_verdict(exploded, replicas, dev, 3 * se),
                       chash, exploded=exploded)
 
@@ -169,8 +157,6 @@ def discrete_qv_density(env, phi: Field) -> dict:
     n -> infinity limit formula with n^{-rho}|xi_e| -> 2 nu).
     """
     spec = phi.spec
-    from .branching import particle_count
-
     K = particle_count(spec)
     vals = phi.values
     jump = np.zeros(spec.shape)
@@ -220,23 +206,19 @@ def test_martingale_qv(env, L: int, T: float, phi: Field, replicas: int,
                         replicas=replicas, seed_base=seed_base, L_max=L_max,
                         phi=_digest(phi.values), **_environment_identity(env))
 
-    def one(res):
-        emp = kill_and_project(res, [L], [T])
-        ints = pathwise_integrals(res, [L], T, funcs)
-        k_t = emp.pair(0, L, phi_amb) - phi0_val - ints[(L, "H")]
-        return k_t, ints[(L, "qv")], ints[(L, "qv_branch")]
-
-    vals, exploded = _run_replicas(rates, T, replicas, seed_base, cap, one)
-    ks = np.array([v[0] for v in vals])
-    qs = np.array([v[1] for v in vals])
-    qb = np.array([v[2] for v in vals])
+    batch = simulate_replicas(rates, T, _seeds(seed_base, replicas), [L], [T], funcs, cap=cap)
+    used = ~batch.exploded
+    exploded = int(batch.exploded.sum())
+    ks = (batch.pairings(0, L, phi_amb) - phi0_val - batch.integrals[(L, "H")])[used]
+    qs = batch.integrals[(L, "qv")][used]
+    qb = batch.integrals[(L, "qv_branch")][used]
     se_mean = float(ks.std(ddof=1) / math.sqrt(len(ks)))
     pass_mean = _statistical_verdict(exploded, replicas, abs(float(ks.mean())), 3 * se_mean)
     paired = ks ** 2 - qs
     se_qv = float(paired.std(ddof=1) / math.sqrt(len(paired)))
     pass_qv = _statistical_verdict(exploded, replicas, abs(float(paired.mean())), 3 * se_qv)
     return TestReport(
-        "martingale_qv", float(ks.mean()), 0.0, se_mean, len(vals),
+        "martingale_qv", float(ks.mean()), 0.0, se_mean, len(ks),
         pass_mean and pass_qv, chash, exploded=exploded,
         extras={
             "k_second_moment": float((ks ** 2).mean()),
@@ -279,19 +261,17 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
 
     if float(np.abs(phi0.values).max()) == 0.0:
         # exact unit martingale
-        res = simulate(rates, t, seed=seed_base)
-        emp = kill_and_project(res, [L], s_grid)
-        devs = [abs(math.exp(-emp.pair(ti, L, U_amb[s])) - 1.0)
+        batch = simulate_replicas(rates, t, [seed_base], [L], s_grid)
+        devs = [abs(math.exp(-float(batch.pairings(ti, L, U_amb[s])[0])) - 1.0)
                 for ti, s in enumerate(s_grid)]
         return TestReport("laplace_functional", 1.0, 1.0, 0.0, 1,
                           max(devs) == 0.0, chash, exact=True)
 
-    def one(res):
-        emp = kill_and_project(res, [L], s_grid)
-        return [math.exp(-emp.pair(ti, L, U_amb[s])) for ti, s in enumerate(s_grid)]
-
-    vals, exploded = _run_replicas(rates, t, replicas, seed_base, cap, one)
-    arr = np.array(vals)
+    batch = simulate_replicas(rates, t, _seeds(seed_base, replicas), [L], s_grid, cap=cap)
+    used = ~batch.exploded
+    exploded = int(batch.exploded.sum())
+    arr = np.exp(-np.stack([batch.pairings(ti, L, U_amb[s])
+                            for ti, s in enumerate(s_grid)], axis=1))[used]
     extras = {"n0": n0, "s_grid": s_grid}
     passed = exploded <= MAX_EXPLODED_FRACTION * replicas
     worst_dev = 0.0
@@ -307,7 +287,7 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
         passed = passed and dev <= 3 * se
     return TestReport("laplace_functional", float(arr[:, -1].mean()), n0,
                       float(arr[:, -1].std(ddof=1) / math.sqrt(len(arr))),
-                      len(vals), passed, chash, exploded=exploded, extras=extras)
+                      len(arr), passed, chash, exploded=exploded, extras=extras)
 
 
 def test_mass_tail(env, L: int, T: float, replicas: int, R_grid,
@@ -325,11 +305,9 @@ def test_mass_tail(env, L: int, T: float, replicas: int, R_grid,
                         replicas=replicas, seed_base=seed_base, R_grid=R_grid,
                         L_max=L_max, **_environment_identity(env))
 
-    def one(res):
-        return sup_total_mass(res, [L], T)[L]
-
-    sups, exploded = _run_replicas(rates, T, replicas, seed_base, cap, one)
-    sups = np.array(sups)
+    batch = simulate_replicas(rates, T, _seeds(seed_base, replicas), [L], cap=cap)
+    exploded = int(batch.exploded.sum())
+    sups = batch.sup_total_mass(L)[~batch.exploded]
     tails = {R: float((sups >= R).mean()) for R in R_grid}
     tail_vals = [tails[R] for R in R_grid]
     monotone = all(a >= b for a, b in zip(tail_vals, tail_vals[1:]))
@@ -355,23 +333,16 @@ def test_ordering(env, Ls, T: float, snapshot_times, replicas: int,
                         replicas=replicas, seed_base=seed_base, L_max=L_max,
                         snapshot_times=[float(s) for s in snapshot_times],
                         **_environment_identity(env))
+    batch = simulate_replicas(rates, T, _seeds(seed_base, replicas), Ls, snapshot_times,
+                              cap=cap)
+    exploded = int(batch.exploded.sum())
     violations = 0
     checked = 0
-    exploded = 0
-    for i in range(replicas):
-        res = simulate(rates, T, seed=seed_base + i, cap=cap)
-        if res.exploded:
-            exploded += 1
-            continue
-        emp = kill_and_project(res, Ls, snapshot_times)
-        for ti in range(len(snapshot_times)):
-            for La, Lb in zip(Ls, Ls[1:]):
-                small = emp.counts[(ti, La)]
-                big = emp.counts[(ti, Lb)]
-                checked += len(small)
-                for site, cnt in small.items():
-                    if cnt > big.get(site, 0):
-                        violations += 1
+    for La, Lb in zip(Ls, Ls[1:]):
+        codes, counts = batch.occupation[La]
+        used = ~batch.exploded[batch.atoms(La)[0]]
+        checked += int(used.sum())
+        violations += int(((counts > batch.counts_at(Lb, codes)) & used).sum())
     passed = violations == 0 and exploded <= MAX_EXPLODED_FRACTION * replicas
     return TestReport("ordering", float(violations), 0.0, 0.0,
                       replicas - exploded, passed, chash, exact=True,

@@ -1,23 +1,27 @@
+import heapq
 import math
+import random
 
 import numpy as np
 import pytest
 
+from pamlab import verify
 from pamlab.branching import (
     AmbientRates,
     ambient_rates,
-    init_state,
     kill_and_project,
     kill_schedule,
     particle_count,
     pathwise_integrals,
     read_event_log,
     simulate,
+    simulate_replicas,
     sup_total_mass,
     write_event_log,
 )
 from pamlab.environment import build_environment
 from pamlab.lattice import LatticeSpec
+from pamlab.solver import apply_hamiltonian
 
 
 def flat_rates(n, L, d, value):
@@ -30,13 +34,6 @@ class TestInitState:
         assert particle_count(LatticeSpec(n=16, L=2, d=2)) == 16
         assert particle_count(LatticeSpec(n=16, L=2, d=1)) == 4
         assert particle_count(LatticeSpec(n=32, L=2, d=1)) == 5
-
-    def test_initial_state_at_origin(self):
-        spec = LatticeSpec(n=4, L=2, d=2)
-        st = init_state(spec)
-        assert len(st.positions) == 4
-        assert st.clock == 0.0
-        assert len(set(st.positions)) == 1
 
     def test_initial_measure_mass_is_one(self):
         for n in (4, 9, 16):
@@ -260,6 +257,20 @@ class TestExplosionCap:
         assert res.exploded
         assert len(res.particles) >= 8
 
+    def test_births_past_cap_alone_do_not_explode(self):
+        # near-critical in a small box: births pile up, the population does not
+        rates = flat_rates(4, 2, 1, 2.5)
+        res = simulate(rates, 4.0, seed=3, cap=10)
+        births = len(res.particles) - res.initial_count
+        peak = sup_total_mass(res, [2], 4.0)[2] * res.initial_count
+        assert peak <= 10 < births <= 4 * 10
+        assert not res.exploded
+        assert not simulate_replicas(rates, 4.0, [3], cap=10).exploded[0]
+        # past four caps of births the run is halted and exploded
+        halted = simulate(rates, 4.0, seed=3, cap=5)
+        assert halted.exploded
+        assert any(p.cause == "alive" for p in halted.particles)
+
     def test_ambient_coupling_consistency(self):
         # the ambient rate field restricted to the solve box equals xi_e there
         env = build_environment(8, 2, 2, "gaussian", 13)
@@ -268,3 +279,194 @@ class TestExplosionCap:
         P = 2 * 8
         sl = (slice(off, off + P + 1),) * 2
         assert np.array_equal(rates.xi_e[sl], env.xi_e)
+
+
+def heap_oracle(rates, horizon, seed, site_funcs=None):
+    """The event-queue simulator the lockstep engine replaced: one binary
+    heap over next-event times, Python's Mersenne Twister for the draws.
+
+    Returns the jump count per particle, the sites of the particles alive at
+    the horizon, the peak live count, and per name of ``site_funcs`` the
+    unweighted time integral of the sum of f over the live particles."""
+    spec = rates.spec
+    n2 = float(spec.n) ** 2
+    jump_total = 2 * spec.d * n2
+    xi = rates.xi_e.ravel()
+    beta = np.maximum(xi, 0.0).tolist()
+    total_rate = (jump_total + np.abs(xi)).tolist()
+    S = spec.box_sites_per_axis
+    steps = (1,) if spec.d == 1 else (S, 1)
+    bmask = spec.boundary_mask().ravel().tolist()
+    origin = S // 2 if spec.d == 1 else (S // 2) * S + S // 2
+    k0 = particle_count(spec)
+    funcs = {name: np.asarray(v, float).ravel().tolist()
+             for name, v in (site_funcs or {}).items()}
+    integrals = dict.fromkeys(funcs, 0.0)
+
+    def hold(pid, t):  # close the particle's constant segment at time t
+        for name, f in funcs.items():
+            integrals[name] += (t - last[pid]) * f[pos[pid]]
+        last[pid] = t
+
+    rng = random.Random(seed)
+    pos = [origin] * k0
+    last = [0.0] * k0
+    jumps = [0] * k0
+    heap = [(rng.expovariate(total_rate[origin]), i) for i in range(k0)]
+    heapq.heapify(heap)
+    alive = peak = k0
+    while heap:
+        t, pid = heapq.heappop(heap)
+        if t > horizon:
+            heapq.heappush(heap, (t, pid))
+            break
+        x = pos[pid]
+        hold(pid, t)
+        u = rng.random() * total_rate[x]
+        if u < jump_total:
+            k = int(u / n2)
+            y = x + (1 if k % 2 == 0 else -1) * steps[k // 2]
+            pos[pid] = y
+            jumps[pid] += 1
+            if bmask[y]:
+                alive -= 1
+                continue
+        elif u < jump_total + beta[x]:
+            pos.append(x)
+            last.append(t)
+            jumps.append(0)
+            heapq.heappush(heap, (t + rng.expovariate(total_rate[x]), len(pos) - 1))
+            alive += 1
+            peak = max(peak, alive)
+        else:
+            alive -= 1
+            continue
+        heapq.heappush(heap, (t + rng.expovariate(total_rate[pos[pid]]), pid))
+    for _, pid in heap:
+        hold(pid, horizon)
+    return {"jumps": jumps, "final": [pos[pid] for _, pid in heap], "peak": peak,
+            "integrals": integrals}
+
+
+def counts_by_snapshot(batch, L):
+    """{(replica, snapshot index): {flat site: count}} of box L's atoms."""
+    out = {}
+    for r, ti, site, c in zip(*(a.tolist() for a in batch.atoms(L))):
+        out.setdefault((r, ti), {})[site] = c
+    return out
+
+
+def two_sample_z(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return (a.mean() - b.mean()) / se
+
+
+class TestLockstepEngine:
+    CASES = [  # (n, d, env seed, L_max, T, Ls)
+        (16, 1, 3, 8, 0.3, [2, 4, 6, 8]),
+        (8, 2, 13, 6, 0.2, [2, 4, 6]),
+    ]
+
+    @pytest.mark.parametrize("n,d,env_seed,L_max,T,Ls", CASES)
+    def test_folded_observables_match_path_references(self, n, d, env_seed, L_max, T, Ls):
+        rates = ambient_rates(build_environment(n, 2, d, "gaussian", env_seed), L_max)
+        times = [0.0, T / 3, T]
+        rng = np.random.default_rng(env_seed)
+        funcs = {"one": np.ones(rates.spec.shape), "mixed": rng.normal(size=rates.spec.shape)}
+        seeds = list(range(40, 70))
+        batch = simulate_replicas(rates, T, seeds, Ls, times, funcs)
+        folded = {L: counts_by_snapshot(batch, L) for L in Ls}
+        for i, seed in enumerate(seeds):
+            res = simulate(rates, T, seed=seed)
+            assert batch.exploded[i] == res.exploded
+            emp = kill_and_project(res, Ls, times)
+            for ti in range(len(times)):
+                for L in Ls:
+                    assert folded[L].get((i, ti), {}) == emp.counts[(ti, L)]
+            sups = sup_total_mass(res, Ls, T)
+            ints = pathwise_integrals(res, Ls, T, funcs)
+            for L in Ls:
+                assert batch.sup_total_mass(L)[i] == sups[L]
+                for name in funcs:
+                    ref = ints[(L, name)]
+                    assert abs(batch.integrals[(L, name)][i] - ref) <= 1e-12 * abs(ref)
+
+    def test_batch_invariance(self):
+        rates = ambient_rates(build_environment(16, 2, 1, "gaussian", 3), 8)
+        Ls, times, T = [2, 4, 8], [0.0, 0.1, 0.3], 0.3
+        funcs = {"one": np.ones(rates.spec.shape)}
+        big = simulate_replicas(rates, T, range(120), Ls, times, funcs)
+        big_counts = {L: counts_by_snapshot(big, L) for L in Ls}
+        for i in range(10):
+            alone = simulate_replicas(rates, T, [i], Ls, times, funcs)
+            assert alone.exploded[0] == big.exploded[i]
+            for L in Ls:
+                assert alone.sup_total_mass(L)[0] == big.sup_total_mass(L)[i]
+                assert alone.integrals[(L, "one")][0] == big.integrals[(L, "one")][i]
+                alone_counts = counts_by_snapshot(alone, L)
+                for ti in range(len(times)):
+                    assert alone_counts.get((0, ti)) == big_counts[L].get((i, ti))
+
+    def test_event_log_sorted_with_ids_in_birth_order(self):
+        rates = ambient_rates(build_environment(16, 2, 1, "gaussian", 3), 4)
+        res = simulate(rates, 0.3, seed=5, collect_log=True)
+        times = [e[0] for e in res.events]
+        assert times == sorted(times)
+        births = [p.birth for p in res.particles]
+        assert births == sorted(births) and [p.id for p in res.particles] == list(
+            range(len(births)))
+        branches = sum(1 for e in res.events if e[2] == 1)
+        assert branches == len(res.particles) - res.initial_count > 0
+        for p in res.particles[res.initial_count:]:
+            assert res.particles[p.parent].birth < p.birth
+
+    @pytest.mark.parametrize("n,d,env_seed", [(16, 1, 101), (8, 2, 101)])
+    def test_matches_heap_oracle_in_distribution(self, n, d, env_seed):
+        rates = ambient_rates(build_environment(n, 2, d, "gaussian", env_seed), 4)
+        T, replicas = 0.25, 300
+        k0 = particle_count(rates.spec)
+        old_jumps, old_mass = [], []
+        for seed in range(replicas):
+            out = heap_oracle(rates, T, seed)
+            old_jumps.append(np.mean(out["jumps"]))
+            old_mass.append(len(out["final"]) / k0)
+        new_jumps = []
+        for seed in range(replicas):
+            res = simulate(rates, T, seed=seed)
+            new_jumps.append(np.mean([len(p.path_times) - 1 for p in res.particles]))
+        batch = simulate_replicas(rates, T, range(replicas), [4], [T])
+        new_mass = batch.pairings(0, 4, np.ones(rates.spec.shape))
+        assert abs(two_sample_z(new_jumps, old_jumps)) <= 3
+        assert abs(two_sample_z(new_mass, old_mass)) <= 3
+
+    def test_martingale_and_mass_sup_match_heap_oracle(self):
+        # the d=2 statistics where verify's 3-SE verdicts cluster: K^phi(T),
+        # the paired K^2 - QV and the sup of the box-2 mass.  The engine
+        # projects box 2 out of ambient side 8; the oracle runs the box-2
+        # process directly, on ambient side 2.
+        env = build_environment(8, 2, 2, "gaussian", 1299454017)
+        phi = verify.smooth_bump(env.spec, 0.5)
+        T, replicas = 0.25, 1000
+        report = verify.test_martingale_qv(env, 2, T, phi, replicas, seed_base=0, L_max=8)
+        assert report.exploded == 0
+        batch = simulate_replicas(ambient_rates(env, 8), T, range(replicas), [2])
+        k0 = particle_count(env.spec)
+        qv = verify.discrete_qv_density(env, phi)
+        funcs = {"H": apply_hamiltonian(env, phi).values, "qv": qv["jump"] + qv["branch"]}
+        flat = phi.values.ravel()
+        phi0 = phi.values[env.spec.origin_index]
+        ks, qs, sups = [], [], []
+        for seed in range(replicas):
+            out = heap_oracle(ambient_rates(env, 2), T, seed, funcs)
+            ks.append((flat[out["final"]].sum() - out["integrals"]["H"]) / k0 - phi0)
+            qs.append(out["integrals"]["qv"] / k0)
+            sups.append(out["peak"] / k0)
+        ks, paired = np.array(ks), np.array(ks) ** 2 - np.array(qs)
+
+        def z(mean, se, sample):
+            return (mean - sample.mean()) / math.hypot(se, sample.std(ddof=1) / math.sqrt(sample.size))
+
+        assert abs(z(report.statistic, report.se, ks)) <= 3
+        assert abs(z(report.extras["qv_paired_diff"], report.extras["qv_paired_se"], paired)) <= 3
+        assert abs(two_sample_z(batch.sup_total_mass(2), sups)) <= 3

@@ -17,7 +17,6 @@ from pamlab.cli import (
 )
 from pamlab.environment import build_environment
 from pamlab.lattice import Field, LatticeSpec
-from pamlab.spectral import forward_transform
 
 
 def rand_field(spec, seed=0):
@@ -36,33 +35,6 @@ class TestFieldDumps:
         assert flavor == "neumann"
         assert back.spec == spec
         assert np.array_equal(back.values, u.values)
-
-    def test_binary_round_trip(self, tmp_path):
-        spec = LatticeSpec(n=4, L=2, d=2)
-        u = rand_field(spec, 6)
-        path = tmp_path / "f.bin"
-        pio.write_field_binary(u, path)
-        back, _ = pio.read_field_binary(path)
-        assert np.array_equal(back.values, u.values)
-
-    def test_binary_magic_check(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a field")
-        with pytest.raises(ValueError):
-            pio.read_field_binary(path)
-
-    def test_spectrum_dump(self, tmp_path):
-        spec = LatticeSpec(n=2, L=2, d=2)
-        u = rand_field(spec, 7)
-        c = forward_transform(u, "neumann")
-        path = tmp_path / "spec.txt"
-        pio.write_spectrum_text(c, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "2,2,2,neumann"
-        assert len(lines) == 1 + c.coeffs.size
-        m, v = lines[1].split(",")
-        assert m == "0;0"
-        assert float(v) == c.coeffs.ravel()[0]
 
 
 class TestEnvironmentArchive:
@@ -211,13 +183,6 @@ class TestCommands:
                    "--n-list", "4", "--seeds", "9"])
         assert rc == 0
         assert (tmp_path / "env_n4_seed9.txt").exists()
-
-    def test_missing_archive_error_has_path(self, tmp_path):
-        from pamlab.cli import _load_or_build_env
-
-        cfg = parse_config_text("d=1\nn_list=8\nseeds=1\n")
-        with pytest.raises(FileNotFoundError, match="env_n8_seed1"):
-            _load_or_build_env(cfg, str(tmp_path), 8, 1, require_archive=True)
 
     def test_mismatched_archive_rejected(self, tmp_path):
         from pamlab.cli import _load_or_build_env

@@ -22,7 +22,6 @@ class TestLatticeSpec:
         spec = LatticeSpec(n=4, L=4, d=2)
         assert spec.N == 8
         assert spec.site_count == (4 * 4 + 1) ** 2
-        assert spec.torus_site_count == (8 * 4) ** 2
 
     @pytest.mark.parametrize("bad", [dict(n=0, L=2), dict(n=2, L=3), dict(n=2, L=2, d=3)])
     def test_invalid_specs_rejected(self, bad):
