@@ -8,10 +8,18 @@ index j_n is the first j whose annulus pokes out of the open dual box
 (-n/2, n/2)^d; the tail block collects everything not covered, making the
 partition exact at every dual lattice site.
 
-Boundary flavors enter through the odd/even extension: every block, norm and
-product of a box field is computed on the torus extension and restricted.
-Torus fields are real, so the symbols live on the rfft half grid (the last
-axis cut to M/2 + 1 frequencies) and blocks are real FFT round trips.
+Boundary flavors enter through the reflection calculus of ``spectral``.  The
+torus FFT of the even extension of a box field is its DCT-I, and that of the
+odd extension is, up to a factor -i per axis, the DST-I of its interior.
+The symbols are even, so they live on the box mode grid k = m/N, m = 0..P,
+and every block is a DCT-I (Neumann) or DST-I (Dirichlet) round trip on the
+box: exactly the block of the torus extension, restricted to the box.
+Dirichlet blocks vanish on the boundary by construction.  L^p norms under
+the torus counting measure n^{-d} sum are box sums with the reflection
+multiplicities (1, 2, ..., 2, 1) per axis, and norms are taken one block at
+a time.  The trigonometric refinement zero-pads the same box coefficients.
+The torus path (``lp_block_torus``, ``all_blocks_torus``: real FFT round
+trips of the extension on half-grid symbols) is kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy import fft as sfft
 
-from .lattice import Field, LatticeSpec, TorusField, extend, restrict
-from .spectral import smoothstep, torus_frequency_grid
+from .lattice import Field, LatticeSpec, TorusField, reflection_multiplicities
+from .spectral import frequency_grid, smoothstep, torus_frequency_grid
 
 
 def _radial_bump(r: np.ndarray) -> np.ndarray:
@@ -49,22 +58,22 @@ def tail_index(spec: LatticeSpec) -> int:
 
 @dataclass
 class DyadicPartition:
-    """Dyadic partition of unity on the dual torus, tail block included."""
+    """Dyadic partition of unity on the box mode grid, tail block included."""
 
     spec: LatticeSpec
     j_n: int
-    # symbol arrays on the rfft half grid of the FFT-ordered dual torus,
-    # index j+1 for block j
-    torus_symbols: list = dataclass_field(repr=False, default_factory=list)
+    # symbol arrays on the Neumann mode grid (P+1)^d, k = m/N for m = 0..P,
+    # index j+1 for block j; the Dirichlet modes are the [1:P] slice
+    symbols: list = dataclass_field(repr=False, default_factory=list)
 
     @property
     def block_indices(self) -> range:
         return range(-1, self.j_n + 1)
 
     def symbol(self, j: int) -> np.ndarray:
-        if not (-1 <= j <= self.j_n):
+        if j not in self.block_indices:
             raise ValueError(f"block index {j} out of range [-1, {self.j_n}]")
-        return self.torus_symbols[j + 1]
+        return self.symbols[j + 1]
 
 
 def block_symbol_arrays(j_n: int, kgrid: np.ndarray) -> list:
@@ -89,57 +98,98 @@ def block_symbol_arrays(j_n: int, kgrid: np.ndarray) -> list:
 
 def build_partition(spec: LatticeSpec) -> DyadicPartition:
     j_n = tail_index(spec)
-    M = spec.torus_sites_per_axis
-    kgrid = torus_frequency_grid(spec)[..., : M // 2 + 1, :]
-    return DyadicPartition(spec, j_n, block_symbol_arrays(j_n, kgrid))
+    return DyadicPartition(spec, j_n, block_symbol_arrays(j_n, frequency_grid(spec, "neumann")))
+
+
+def check_partition(partition: DyadicPartition, spec: LatticeSpec) -> DyadicPartition:
+    """Return ``partition`` after checking that it was built for ``spec``.
+
+    Lattices with the same L*n share array shapes, so a partition of another
+    lattice would otherwise be applied silently with the wrong frequencies.
+    """
+    if partition.spec != spec:
+        raise ValueError(f"partition built for {partition.spec} "
+                         f"cannot be used on a field on {spec}")
+    return partition
+
+
+def _partition_for(spec: LatticeSpec, partition: DyadicPartition | None) -> DyadicPartition:
+    if partition is None:
+        return build_partition(spec)
+    return check_partition(partition, spec)
 
 
 def block_frequency(spec: LatticeSpec, modes: tuple, partition: DyadicPartition | None = None) -> int:
     """Index of the block whose symbol is largest at frequency m/N."""
-    part = partition if partition is not None else build_partition(spec)
+    part = _partition_for(spec, partition)
     k = np.array([m / spec.N for m in modes])[None, :]
     vals = [float(block_symbol_arrays(part.j_n, k)[j + 1][0]) for j in part.block_indices]
     return int(np.argmax(vals)) - 1
 
 
-def _inverse_real(V: np.ndarray, shape: tuple) -> np.ndarray:
-    return np.fft.irfftn(V, s=shape, axes=tuple(range(len(shape))))
+def _box_blocks(u: Field, flavor: str, symbols):
+    """Yield sym(D) u for each box symbol, one block at a time.
 
-
-def lp_block_torus(partition: DyadicPartition, j: int, v: TorusField) -> TorusField:
-    V = np.fft.rfftn(v.values) * partition.symbol(j)
-    return TorusField(v.spec, _inverse_real(V, v.values.shape))
-
-
-def lp_block(partition: DyadicPartition, j: int, u: Field, flavor: str) -> Field:
-    """Block j of a box field; commutes with the flavor extension.
-
-    Odd symmetry of the extension forces Dirichlet blocks to vanish on the
-    boundary; the FFT's broken cancellation there is restored exactly.
+    Neumann blocks are DCT-I round trips of the box values, Dirichlet blocks
+    DST-I round trips of the interior values (shape (P-1,)*d): the blocks of
+    the even/odd torus extension, restricted to the box.
     """
-    out = restrict(lp_block_torus(partition, j, extend(u, flavor)))
-    if flavor == "dirichlet":
-        out.values[u.spec.boundary_mask()] = 0.0
+    if flavor == "neumann":
+        c = sfft.dctn(u.values, type=1)
+        for sym in symbols:
+            yield sfft.idctn(c * sym, type=1, overwrite_x=True)
+    elif flavor == "dirichlet":
+        sl = u.spec.interior_slices()
+        c = sfft.dstn(u.values[sl], type=1)
+        for sym in symbols:
+            yield sfft.idstn(c * sym[sl], type=1, overwrite_x=True)
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def _on_box(block: np.ndarray, spec: LatticeSpec, flavor: str) -> np.ndarray:
+    """A block from ``_box_blocks`` as box values (zero Dirichlet boundary)."""
+    if flavor == "neumann":
+        return block
+    out = np.zeros(spec.shape)
+    out[spec.interior_slices()] = block
     return out
 
 
-def all_blocks_torus(partition: DyadicPartition, v: TorusField) -> list:
-    V = np.fft.rfftn(v.values)
-    return [_inverse_real(V * partition.symbol(j), v.values.shape)
-            for j in partition.block_indices]
+def lp_block(partition: DyadicPartition, j: int, u: Field, flavor: str) -> Field:
+    """Block j of a box field; commutes with the flavor extension."""
+    check_partition(partition, u.spec)
+    (block,) = _box_blocks(u, flavor, [partition.symbol(j)])
+    return Field(u.spec, _on_box(block, u.spec, flavor))
 
 
 def all_blocks(partition: DyadicPartition, u: Field, flavor: str) -> list:
-    """All blocks of a box field as value arrays, restricted to the box."""
-    spec = u.spec
-    P = spec.L * spec.n
-    sl = (slice(0, P + 1),) * spec.d
-    blocks = [b[sl].copy() for b in all_blocks_torus(partition, extend(u, flavor))]
-    if flavor == "dirichlet":
-        mask = spec.boundary_mask()
-        for b in blocks:
-            b[mask] = 0.0
-    return blocks
+    """All blocks of a box field as value arrays on the box."""
+    check_partition(partition, u.spec)
+    return [_on_box(b, u.spec, flavor) for b in _box_blocks(u, flavor, partition.symbols)]
+
+
+def _torus_symbols(partition: DyadicPartition) -> list:
+    """The partition's symbols on the rfft half grid of the dual torus (the
+    last axis cut to M/2 + 1 frequencies)."""
+    M = partition.spec.torus_sites_per_axis
+    kgrid = torus_frequency_grid(partition.spec)[..., : M // 2 + 1, :]
+    return block_symbol_arrays(partition.j_n, kgrid)
+
+
+def lp_block_torus(partition: DyadicPartition, j: int, v: TorusField) -> TorusField:
+    """Block j of a torus field by a real FFT round trip (oracle)."""
+    partition.symbol(j)  # rejects j outside [-1, j_n]
+    return TorusField(v.spec, all_blocks_torus(partition, v)[j + 1])
+
+
+def all_blocks_torus(partition: DyadicPartition, v: TorusField) -> list:
+    """All blocks of a torus field as value arrays (oracle)."""
+    check_partition(partition, v.spec)
+    V = np.fft.rfftn(v.values)
+    axes = tuple(range(v.values.ndim))
+    return [np.fft.irfftn(V * sym, s=v.values.shape, axes=axes)
+            for sym in _torus_symbols(partition)]
 
 
 @dataclass(frozen=True)
@@ -166,19 +216,45 @@ def torus_lp_norm(values: np.ndarray, p: float, n: int, d: int) -> float:
     return float(((a ** p).sum() / n ** d) ** (1.0 / p))
 
 
+def _box_lp_norm(block: np.ndarray, p: float, spec: LatticeSpec, flavor: str) -> float:
+    """torus_lp_norm of the extension of a ``_box_blocks`` array.
+
+    Each box site stands for its reflection images on the torus, so the
+    torus measure is the box sum weighted by the reflection multiplicities
+    (the Dirichlet faces are zero and left out).
+    """
+    a = np.abs(block)
+    if math.isinf(p):
+        return float(a.max())
+    w = reflection_multiplicities(spec)
+    if flavor == "dirichlet":
+        w = w[1:-1]
+    a = a * a if p == 2 else a ** p
+    total = a @ w if spec.d == 1 else w @ a @ w
+    return float((total / spec.n ** spec.d) ** (1.0 / p))
+
+
 def lp_norm(u: Field, p: float, flavor: str) -> float:
     """||ext(u)||_{L^p(torus)}; the lattice L^p norm of the flavor class."""
-    return torus_lp_norm(extend(u, flavor).values, p, u.spec.n, u.spec.d)
+    if flavor == "neumann":
+        values = u.values
+    elif flavor == "dirichlet":
+        values = u.values[u.spec.interior_slices()]
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _box_lp_norm(values, p, u.spec, flavor)
 
 
 def besov_norm(u: Field, params: BesovParams, partition: DyadicPartition | None = None) -> float:
-    """|| (2^{alpha j} ||Delta_j ext(u)||_{L^p})_{j <= j_n} ||_{l^q}."""
-    spec = u.spec
-    part = partition if partition is not None else build_partition(spec)
-    v = extend(u, params.flavor)
-    blocks = all_blocks_torus(part, v)
+    """|| (2^{alpha j} ||Delta_j ext(u)||_{L^p})_{j <= j_n} ||_{l^q}.
+
+    Each block's norm is taken as soon as the block is made, so at most one
+    block is alive at a time.
+    """
+    part = _partition_for(u.spec, partition)
+    blocks = _box_blocks(u, params.flavor, part.symbols)
     terms = np.array([
-        2.0 ** (params.alpha * j) * torus_lp_norm(b, params.p, spec.n, spec.d)
+        2.0 ** (params.alpha * j) * _box_lp_norm(b, params.p, u.spec, params.flavor)
         for j, b in zip(part.block_indices, blocks)
     ])
     if math.isinf(params.q):
@@ -198,7 +274,7 @@ def paraproduct(phi: Field, psi: Field, flavor_phi: str = "dirichlet",
     """
     if phi.spec != psi.spec:
         raise ValueError("paraproduct requires matching lattice specs")
-    part = partition if partition is not None else build_partition(phi.spec)
+    part = _partition_for(phi.spec, partition)
     bp = all_blocks(part, phi, flavor_phi)
     bq = all_blocks(part, psi, flavor_psi)
     out = np.zeros(phi.spec.shape)
@@ -216,7 +292,7 @@ def resonant(phi: Field, psi: Field, flavor_phi: str = "neumann",
     """Resonant product: sum over block pairs with |i - j| <= 1."""
     if phi.spec != psi.spec:
         raise ValueError("resonant product requires matching lattice specs")
-    part = partition if partition is not None else build_partition(phi.spec)
+    part = _partition_for(phi.spec, partition)
     bp = all_blocks(part, phi, flavor_phi)
     bq = all_blocks(part, psi, flavor_psi)
     out = np.zeros(phi.spec.shape)
@@ -231,7 +307,7 @@ def resonant(phi: Field, psi: Field, flavor_phi: str = "neumann",
 def bony_decomposition(phi: Field, psi: Field, flavor_phi: str, flavor_psi: str,
                        partition: DyadicPartition | None = None) -> tuple:
     """(phi<psi, psi<phi, phi o psi); the three sum to the pointwise product."""
-    part = partition if partition is not None else build_partition(phi.spec)
+    part = _partition_for(phi.spec, partition)
     lh = paraproduct(phi, psi, flavor_phi, flavor_psi, part)
     hl = paraproduct(psi, phi, flavor_psi, flavor_phi, part)
     res = resonant(phi, psi, flavor_phi, flavor_psi, part)
@@ -243,35 +319,34 @@ def extension_operator(u: Field, flavor: str, refinement: int) -> np.ndarray:
 
     Returns samples on the corner grid {0, 1/(m n), ..., L} per axis
     (shape (m L n + 1,)*d).  Refinement 1 reproduces the lattice samples.
-    The self-paired Nyquist bin is split symmetrically so the interpolant is
-    real and keeps the odd/even symmetry of the extension.
+    The extension's spectrum is zero-padded on the box: the DCT-I (Neumann)
+    or DST-I (Dirichlet) coefficients move to the finer mode grid.  The
+    self-paired Nyquist mode of the cosine series is split symmetrically
+    between +n/2 and -n/2, halving it per axis, so the interpolant is real
+    and keeps the even symmetry; the sine series has no Nyquist mode and
+    its interpolant vanishes on the boundary.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     spec = u.spec
     m = refinement
     P = spec.L * spec.n
-    fine = np.fft.fftn(extend(u, flavor).values)
-    # Inverse transforms run one axis at a time, last first as in ifftn, and
-    # each axis is cut to the box's m P + 1 samples before the next one.
-    for axis in reversed(range(spec.d)):
-        fine = np.fft.ifft(_zero_pad(fine, axis, m), axis=axis)
-        fine = fine[(slice(None),) * axis + (slice(0, m * P + 1),)]
-    return fine.real * (m ** spec.d)
-
-
-def _zero_pad(V: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Zero-pad an FFT-ordered spectrum from side M to m M along one axis,
-    splitting the self-paired Nyquist bin in half between +M/2 and -M/2."""
-    M = V.shape[axis]
-    half = M // 2
-    V = np.moveaxis(V, axis, 0)
-    out = np.zeros((m * M,) + V.shape[1:], dtype=V.dtype)
-    out[:half] = V[:half]
-    out[m * M - half + 1:] = V[half + 1:]
-    out[half] += 0.5 * V[half]
-    out[m * M - half] += 0.5 * V[half]
-    return np.moveaxis(out, 0, axis)
+    if flavor == "neumann":
+        c = sfft.dctn(u.values, type=1)
+        if m > 1:
+            for axis in range(spec.d):
+                c[(slice(None),) * axis + (P,)] *= 0.5
+        fine = np.zeros((m * P + 1,) * spec.d)
+        fine[(slice(0, P + 1),) * spec.d] = c
+        return sfft.idctn(fine, type=1, overwrite_x=True) * (m ** spec.d)
+    if flavor == "dirichlet":
+        c = sfft.dstn(u.values[spec.interior_slices()], type=1)
+        fine = np.zeros((m * P - 1,) * spec.d)
+        fine[(slice(0, P - 1),) * spec.d] = c
+        out = np.zeros((m * P + 1,) * spec.d)
+        out[(slice(1, m * P),) * spec.d] = sfft.idstn(fine, type=1, overwrite_x=True) * (m ** spec.d)
+        return out
+    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 @dataclass(frozen=True)
@@ -299,8 +374,7 @@ def time_weighted_norm(times, states, params: TimeWeightedNormParams,
     times = np.asarray(times, dtype=np.float64)
     if times.size == 0:
         raise ValueError("empty trajectory")
-    if partition is None:
-        partition = build_partition(states[0].spec)
+    partition = _partition_for(states[0].spec, partition)
     out = 0.0
     for t, u in zip(times, states):
         if t == 0.0 and params.gamma > 0.0:

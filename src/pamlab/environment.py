@@ -21,14 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .besov import BesovParams, DyadicPartition, besov_norm, build_partition, lp_norm, resonant
+from .besov import (
+    BesovParams,
+    DyadicPartition,
+    besov_norm,
+    build_partition,
+    check_partition,
+    lp_norm,
+    resonant,
+)
 from .lattice import Field, LatticeSpec
 from .spectral import (
     MultiplierSpec,
+    SpectrumCoeffs,
     apply_laplacian,
     default_cutoff,
     forward_transform,
-    fourier_multiplier,
     frequency_grid,
     inverse_transform,
     laplacian_symbol,
@@ -174,12 +182,12 @@ def build_X(noise: NoiseRealization, chi: MultiplierSpec | None = None) -> Field
     chi_vals = chi(kk)
     if abs(float(chi(np.zeros((1, spec.d)))[0])) > 0:
         raise ValueError("cut-off must vanish at k = 0")
-    coeffs = np.zeros_like(c.coeffs)
+    chi_xi = chi_vals * c.coeffs  # the coefficients of chi(D) xi
+    coeffs = np.zeros_like(chi_xi)
     mask = lt > 0
-    coeffs[mask] = chi_vals[mask] * c.coeffs[mask] / lt[mask]
-    c.coeffs = coeffs
-    X = inverse_transform(c)
-    rhs = fourier_multiplier(chi, noise.field, "neumann", check_even=False)
+    coeffs[mask] = chi_xi[mask] / lt[mask]
+    X = inverse_transform(SpectrumCoeffs(spec, "neumann", coeffs))
+    rhs = inverse_transform(SpectrumCoeffs(spec, "neumann", chi_xi))
     residual = apply_laplacian(X, "neumann").values + rhs.values
     bound = 1e-8 * max(np.abs(rhs.values).max(), 1e-300)
     if np.abs(residual).max() > bound:
@@ -217,15 +225,16 @@ class EnhancedEnvironment:
 def enhance(noise: NoiseRealization, chi: MultiplierSpec | None = None,
             partition: DyadicPartition | None = None) -> EnhancedEnvironment:
     spec = noise.spec
+    if partition is not None:
+        check_partition(partition, spec)
     nu = nu_closed_form(noise.distribution)
     if spec.d == 1:
         return EnhancedEnvironment(noise, None, None, 0.0, 0.0, nu)
     if chi is None:
         chi = default_cutoff()
-    part = partition if partition is not None else build_partition(spec)
     kappa = renormalization_constant(spec, chi)
     X = build_X(noise, chi)
-    raw = resonant(X, noise.field, "neumann", "neumann", part)
+    raw = resonant(X, noise.field, "neumann", "neumann", partition)
     renormalized = Field(spec, raw.values - kappa)
     return EnhancedEnvironment(noise, X, renormalized, kappa, kappa, nu)
 

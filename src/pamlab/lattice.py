@@ -170,6 +170,17 @@ def boundary_sites(spec: LatticeSpec) -> set:
     return {(float(x[i]), float(x[j])) for i, j in zip(ii, jj)}
 
 
+def reflection_multiplicities(spec: LatticeSpec) -> np.ndarray:
+    """Per-axis number of torus sites that reflect onto each box site.
+
+    The two faces are fixed by a reflection and appear once, every other
+    site twice.  The same counts fold the dual torus onto the box mode grid.
+    """
+    w = np.full(spec.box_sites_per_axis, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
 def _axis_maps(spec: LatticeSpec):
     """Per-axis source index and odd-reflection sign for torus site j.
 

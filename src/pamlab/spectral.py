@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy import fft as sfft
 
-from .lattice import Field, LatticeSpec, TorusField, extend, restrict
+from .lattice import Field, LatticeSpec, TorusField, reflection_multiplicities
 
 _EVEN_CHECK_POINTS = 24
 
@@ -116,9 +116,13 @@ def frequency_grid(spec: LatticeSpec, flavor: str) -> np.ndarray:
 
 
 def torus_frequency_grid(spec: LatticeSpec) -> np.ndarray:
-    """Signed FFT-ordered frequencies on the dual torus, shape torus + (d,)."""
+    """Signed FFT-ordered frequencies on the dual torus, shape torus + (d,).
+
+    Each k is the integer mode divided by N, as in ``frequency_grid``, so the
+    two grids agree exactly at the folded index min(i, M - i).
+    """
     M = spec.torus_sites_per_axis
-    k1 = np.fft.fftfreq(M, d=1.0 / spec.n)
+    k1 = np.fft.ifftshift(np.arange(-(M // 2), M // 2)) / spec.N
     if spec.d == 1:
         return k1[:, None]
     KX, KY = np.meshgrid(k1, k1, indexing="ij")
@@ -286,18 +290,31 @@ def laplacian_multiplier(spec: LatticeSpec) -> MultiplierSpec:
 
 
 def apply_laplacian(u: Field, flavor: str) -> Field:
-    """Nearest-neighbor stencil on the extended field, restricted to the box.
+    """Nearest-neighbor stencil of the extended field, read on the box.
 
-    Summing neighbor differences (rather than neighbors minus 2d times the
-    center) keeps constants in the exact kernel.
+    One reflected layer per face gives every box site its neighbors in the
+    torus extension: even reflection for Neumann, odd reflection about the
+    zeroed faces for Dirichlet.  Summing neighbor differences (rather than
+    neighbors minus 2d times the center) keeps constants in the exact kernel.
     """
     spec = u.spec
-    v = extend(u, flavor).values
-    acc = np.zeros_like(v)
+    if flavor == "neumann":
+        v = np.pad(u.values, 1, mode="reflect")
+    elif flavor == "dirichlet":
+        faces_zeroed = np.where(spec.boundary_mask(), 0.0, u.values)
+        v = np.pad(faces_zeroed, 1, mode="reflect", reflect_type="odd")
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    inner_sl = (slice(1, -1),) * spec.d
+    center = v[inner_sl]
+    acc = np.zeros(spec.shape)
     for axis in range(spec.d):
-        acc += (np.roll(v, 1, axis=axis) - v) + (np.roll(v, -1, axis=axis) - v)
-    lap = TorusField(spec, spec.n ** 2 * acc)
-    return restrict(lap)
+        lo = list(inner_sl)
+        hi = list(inner_sl)
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        acc += (v[tuple(lo)] - center) + (v[tuple(hi)] - center)
+    return Field(spec, spec.n ** 2 * acc)
 
 
 def apply_laplacian_spectral(u: Field, flavor: str) -> Field:
@@ -329,16 +346,15 @@ def renormalization_constant(spec: LatticeSpec, chi: MultiplierSpec | None = Non
 
     Grows like log(n) and is independent of the box side up to O(1/N).  The
     sign convention uses -l^n >= 0 so that the constant is non-negative.
+    Both symbols are even, so the sum over the dual torus (m in [-P, P)^2)
+    runs over the quarter grid m in [0, P]^2 with the reflection
+    multiplicities (1, 2, ..., 2, 1) per axis.
     """
     if spec.d != 2:
         raise ValueError("the renormalization constant is defined in d = 2 only")
     if chi is None:
         chi = default_cutoff()
-    P = spec.L * spec.n
-    m = np.arange(-P, P)
-    k1 = m / spec.N
-    KX, KY = np.meshgrid(k1, k1, indexing="ij")
-    kk = np.stack([KX, KY], axis=-1)
+    kk = frequency_grid(spec, "neumann")
     lt = -laplacian_symbol(kk, spec.n)
     c = chi(kk)
     if abs(float(chi(np.zeros((1, 2)))[0])) > 0:
@@ -348,4 +364,5 @@ def renormalization_constant(spec: LatticeSpec, chi: MultiplierSpec | None = Non
     out[mask] = c[mask] / lt[mask]
     if np.any(c[~mask] != 0.0):
         raise ValueError("cut-off does not vanish on the kernel of the Laplacian")
-    return float(out.sum() / spec.N ** spec.d)
+    w = reflection_multiplicities(spec)
+    return float(w @ out @ w / spec.N ** spec.d)

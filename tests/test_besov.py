@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from pamlab.besov import (
     extension_operator,
     lowpass_bump,
     lp_block,
+    lp_block_torus,
     lp_norm,
     paraproduct,
     resonant,
     tail_index,
     time_weighted_norm,
+    torus_lp_norm,
 )
+from pamlab.environment import NoiseSpec, enhance, sample_noise
 from pamlab.lattice import Field, LatticeSpec, extend, odd_extension
 from pamlab.spectral import basis_field, laplacian_symbol, torus_frequency_grid
 
@@ -72,22 +76,31 @@ def dense_extension(u, flavor, m):
 
 class TestPartition:
     def test_sums_to_one_at_every_dual_site(self):
+        # the tail is 1 minus the partial sum, so the box symbols sum to
+        # exactly one at every mode m = 0..P
         for d in (1, 2):
-            spec = LatticeSpec(n=4, L=2, d=d)
-            part = build_partition(spec)
-            total = np.sum(part.torus_symbols, axis=0)
-            assert np.abs(total - 1.0).max() < 1e-12
+            for n, L in ((4, 2), (3, 4), (16, 2)):
+                spec = LatticeSpec(n=n, L=L, d=d)
+                part = build_partition(spec)
+                total = np.sum(part.symbols, axis=0)
+                assert total.shape == (spec.L * spec.n + 1,) * d
+                assert np.all(total == 1.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     def test_half_grid_symbols_equal_full_grid_oracle(self, d, n):
+        # the box symbols, read at the folded index min(i, M - i) of every
+        # torus axis, are the full-grid symbols exactly (no ulp of slack):
+        # both grids are integer modes over N, and the radius ignores signs
         spec = LatticeSpec(n=n, L=2, d=d)
-        half = spec.torus_sites_per_axis // 2 + 1
+        M = spec.torus_sites_per_axis
+        fold = np.minimum(np.arange(M), M - np.arange(M))
         part = build_partition(spec)
         oracle = full_grid_symbols(spec)
-        assert len(part.torus_symbols) == len(oracle)
-        for got, want in zip(part.torus_symbols, oracle):
-            assert np.array_equal(got, want[..., :half])
+        assert len(part.symbols) == len(oracle)
+        for got, want in zip(part.symbols, oracle):
+            assert got.shape == (spec.L * spec.n + 1,) * d
+            assert np.array_equal(got[np.ix_(*[fold] * d)], want)
 
     def test_tail_index_increments_with_doubling(self):
         js = [tail_index(LatticeSpec(n=n, L=2, d=2)) for n in (4, 8, 16, 32)]
@@ -96,7 +109,7 @@ class TestPartition:
     def test_low_block_is_one_at_zero(self):
         spec = LatticeSpec(n=8, L=2, d=2)
         part = build_partition(spec)
-        # FFT-ordered grid puts k = 0 in the corner
+        # the box mode grid puts k = 0 in the corner
         assert part.symbol(-1).flat[0] == 1.0
 
     def test_block_index_out_of_range(self):
@@ -111,7 +124,7 @@ class TestPartition:
         spec = LatticeSpec(n=2, L=6, d=1)
         part = build_partition(spec)
         assert part.j_n == -1
-        assert len(part.torus_symbols) == 1
+        assert len(part.symbols) == 1
         assert np.all(part.symbol(-1) == 1.0)
         u = rand_field(spec, 9)
         got = lp_block(part, -1, u, "neumann")
@@ -182,7 +195,70 @@ class TestBlocks:
             assert np.abs(b - want).max() < tol
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_box_blocks_match_torus_oracle(self, d, flavor, n, L):
+        # DCT-I/DST-I blocks on the box are the torus blocks of the extension
+        # restricted to the box; n = 1, 2 give the single-block j_n = -1
+        # mesh, and a Dirichlet field's boundary values never enter
+        spec = LatticeSpec(n=n, L=L, d=d)
+        part = build_partition(spec)
+        u = rand_field(spec, 7 * n + L + d)
+        v = extend(u, flavor)
+        box = (slice(0, spec.L * spec.n + 1),) * d
+        want = [b[box] for b in all_blocks_torus(part, v)]
+        got = all_blocks(part, u, flavor)
+        tol = 1e-13 * max(1.0, np.abs(u.values).max())
+        assert len(got) == len(want) == part.j_n + 2
+        for j, g, w in zip(part.block_indices, got, want):
+            assert g.shape == spec.shape
+            assert np.abs(g - w).max() < tol
+            one = lp_block(part, j, u, flavor).values
+            assert np.abs(one - lp_block_torus(part, j, v).values[box]).max() < tol
+        if flavor == "dirichlet":
+            assert all(np.all(g[spec.boundary_mask()] == 0.0) for g in got)
+
+
 class TestBesovNorm:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+    def test_norms_match_torus_measure_oracle(self, d, flavor):
+        # reflection-weighted box sums reproduce the torus counting measure
+        spec = LatticeSpec(n=8, L=2, d=d)
+        part = build_partition(spec)
+        u = rand_field(spec, 20 + d)
+        v = extend(u, flavor)
+        blocks = all_blocks_torus(part, v)
+        alpha = -0.3
+        for p in (1.0, 2.0, math.inf):
+            want_lp = torus_lp_norm(v.values, p, spec.n, d)
+            assert lp_norm(u, p, flavor) == pytest.approx(want_lp, rel=1e-14)
+            terms = np.array([2.0 ** (alpha * j) * torus_lp_norm(b, p, spec.n, d)
+                              for j, b in zip(part.block_indices, blocks)])
+            for q in (1.0, 2.0, math.inf):
+                want = terms.max() if math.isinf(q) else (terms ** q).sum() ** (1.0 / q)
+                got = besov_norm(u, BesovParams(alpha, p=p, q=q, flavor=flavor), part)
+                assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("flavor", ["dirichlet", "neumann"])
+    def test_norm_keeps_one_block_alive(self, flavor):
+        # the torus path held j_n + 2 = 6 blocks of 4 box arrays each at once
+        spec = LatticeSpec(n=64, L=2, d=2)
+        part = build_partition(spec)
+        u = rand_field(spec, 11)
+        params = BesovParams(0.5, p=2.0, flavor=flavor)
+        besov_norm(u, params, part)
+        tracemalloc.start()
+        try:
+            besov_norm(u, params, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * u.values.nbytes
+
+
     def test_zero_field(self):
         spec = LatticeSpec(n=4, L=2, d=2)
         assert besov_norm(Field.zeros(spec), BesovParams(0.5)) == 0.0
@@ -361,3 +437,30 @@ class TestTimeWeightedNorm:
         params = TimeWeightedNormParams(0.0, 1.0, BesovParams(0.5))
         with pytest.raises(ValueError):
             time_weighted_norm([], [], params)
+
+
+class TestPartitionSpecCheck:
+    # n=16 L=4 and n=32 L=2 share the box shape (65, 65) but not the modes
+    field_spec = LatticeSpec(n=16, L=4, d=2)
+    other_spec = LatticeSpec(n=32, L=2, d=2)
+
+    def test_partition_of_another_lattice_rejected(self):
+        part = build_partition(self.other_spec)
+        noise = sample_noise(NoiseSpec("gaussian", 3, self.field_spec))
+        u = noise.field
+        bp = BesovParams(-1.2, flavor="neumann")
+        tw = TimeWeightedNormParams(0.0, 1.0, bp)
+        calls = [
+            lambda: besov_norm(u, bp, part),
+            lambda: all_blocks(part, u, "neumann"),
+            lambda: lp_block(part, 0, u, "neumann"),
+            lambda: paraproduct(u, u, "neumann", "neumann", part),
+            lambda: resonant(u, u, "neumann", "neumann", part),
+            lambda: time_weighted_norm([0.0], [u], tw, part),
+            lambda: enhance(noise, partition=part),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(self.field_spec) in str(err.value)
+            assert str(self.other_spec) in str(err.value)

@@ -122,6 +122,27 @@ class TestBuildX:
         assert np.abs(resid).max() <= 1e-8 * np.abs(rhs.values).max()
 
 
+    def test_noise_is_transformed_once(self, monkeypatch):
+        import pamlab.environment as environment
+        import pamlab.spectral as spectral
+
+        calls = []
+        transform = spectral.forward_transform
+
+        def counting(u, flavor):
+            calls.append(flavor)
+            return transform(u, flavor)
+
+        monkeypatch.setattr(environment, "forward_transform", counting)
+        monkeypatch.setattr(spectral, "forward_transform", counting)
+        noise = sample_noise(NoiseSpec("gaussian", 5, LatticeSpec(n=8, L=2, d=2)))
+        X = build_X(noise)
+        assert calls == ["neumann"]
+        rhs = fourier_multiplier(default_cutoff(), noise.field, "neumann")
+        assert np.abs(apply_laplacian(X, "neumann").values + rhs.values).max() \
+            <= 1e-8 * np.abs(rhs.values).max()
+
+
 class TestEnhance:
     def test_d1_skips_resonant_part(self):
         env = build_environment(n=16, L=2, d=1, distribution="gaussian", seed=0)

@@ -221,7 +221,33 @@ class TestLaplacianSymbol:
         assert laplacian_symbol(kd, spec.n).max() < 0.0
 
 
+def full_grid_kappa(spec, chi=None):
+    """Oracle: N^{-2} sum of chi / (-l^n) over the whole dual torus
+    m in [-P, P)^2, summed a block of rows at a time to bound memory."""
+    chi = chi if chi is not None else default_cutoff()
+    P = spec.L * spec.n
+    k1 = np.arange(-P, P) / spec.N
+    total = 0.0
+    for start in range(0, 2 * P, 256):
+        KX, KY = np.meshgrid(k1[start:start + 256], k1, indexing="ij")
+        kk = np.stack([KX, KY], axis=-1)
+        lt = -laplacian_symbol(kk, spec.n)
+        c = chi(kk)
+        out = np.zeros_like(lt)
+        mask = lt > 0
+        out[mask] = c[mask] / lt[mask]
+        total += out.sum()
+    return total / spec.N ** 2
+
+
 class TestRenormalizationConstant:
+    @pytest.mark.parametrize("L", [2, 4])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
+    def test_quarter_grid_matches_full_grid_oracle(self, n, L):
+        spec = LatticeSpec(n=n, L=L, d=2)
+        want = full_grid_kappa(spec)
+        assert abs(renormalization_constant(spec) - want) <= 1e-14 * want
+
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
             renormalization_constant(LatticeSpec(n=4, L=2, d=1))
