@@ -6,10 +6,15 @@ potential.  Solving on the box with zero boundary data is equivalent to
 evolving the odd extension on the torus and restricting; since the potential
 acts pointwise and the diffusion is diagonal in the sine basis, the Strang
 composition uses exact sub-flows and needs no stability restriction.  The
-diffusion takes the outer half-steps (half diffusion, full potential, half
+diffusion takes the outer half-steps (half diffusion, full reaction, half
 diffusion): the dominant error commutator involves the Laplacian twice, and
 this arrangement halves its weight compared to the potential-outside one --
 both were measured second order, at constants differing by a factor of two.
+
+One semilinear stepper serves every equation: its pointwise reaction is the
+exact flow of dz = xi_e z - nu z^2, which is the factor exp(h xi_e) when
+nu = 0 (linear PAM, semigroup) and z e^{h xi_e} / (1 + nu z c) with
+c = expm1(h xi_e) / xi_e otherwise (the dual FKPP equation).
 
 States evolve as contiguous arrays of the (L n - 1)^d interior sites; the
 zero boundary values are added back only when a state is returned.  The
@@ -17,6 +22,8 @@ DST-I normalisation is folded into the diffusion symbols, and adjacent
 half-diffusions of consecutive steps merge into one full diffusion, so a
 step costs two DSTs; the trailing half-diffusion is applied only where a
 state is read out.  A trajectory keeps t = 0, the requested times and T.
+The dual solve runs its absorbed chain beside the linear comparison chain
+T_t phi0 and checks 0 <= phi <= T_t phi0 where it reads a state out.
 
 The principal eigenpair is one Lanczos solve on the sparse interior
 Hamiltonian; the same matrix, made dense, gives the matrix-exponential
@@ -25,6 +32,7 @@ scheme that doubles as the convergence oracle for meshes up to n = 16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,25 +134,34 @@ def _interior_field(spec: LatticeSpec, values: np.ndarray) -> Field:
 
 
 class _StrangStepper:
-    """Strang steps D(h/2) P(h) D(h/2) of one step size h on the interior.
+    """Strang steps D(h/2) R(h) D(h/2) of one step size h on the interior.
 
-    D is the Dirichlet heat flow, diagonal in the DST-I basis, and P the
-    pointwise factor exp(h xi_e); both act on contiguous interior arrays.
-    The diffusion symbols are divided by the DST-I scale (2 L n)^d once, so
-    a diffusion is an unnormalised DST, an in-place product and a DST.
+    D is the Dirichlet heat flow, diagonal in the DST-I basis, and R the
+    exact flow of the pointwise reaction dz = xi_e z - nu z^2 over h,
+    z -> z e^{h xi_e} / (1 + nu z c) with c = expm1(h xi_e) / xi_e (c = h
+    where xi_e = 0); with nu = 0 it is the single factor exp(h xi_e).  Both
+    act on contiguous interior arrays.  The diffusion symbols are divided by
+    the DST-I scale (2 L n)^d once, so a diffusion is an unnormalised DST,
+    an in-place product and a DST.
 
     The stepper carries one chain from ``restart(w)``.  It holds the DST
-    coefficients of the *open* state: P applied, the trailing D(h/2) not
+    coefficients of the *open* state: R applied, the trailing D(h/2) not
     yet.  ``advance`` merges that pending half-diffusion with the next
     step's leading one into a single D(h), so a step costs two DSTs;
     ``state`` closes a copy with D(h/2) (one DST) and leaves the chain as
     it was.  ``state`` is defined once the chain has advanced.
     """
 
-    def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float):
+    def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float, nu: float = 0.0):
         from .spectral import frequency_grid, laplacian_symbol
 
-        self.full_pot = np.exp(dt * np.asarray(xi_e)[spec.interior_slices()])
+        xi = np.asarray(xi_e)[spec.interior_slices()]
+        self.full_pot = np.exp(dt * xi)
+        self.nu_c = None
+        if nu != 0.0:
+            c = np.full(xi.shape, dt)
+            np.divide(np.expm1(dt * xi), xi, out=c, where=xi != 0.0)
+            self.nu_c = nu * c
         ln = laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n)
         scale = (2.0 * spec.L * spec.n) ** spec.d
         self.diff_full = np.exp(dt * ln) / scale
@@ -157,11 +174,21 @@ class _StrangStepper:
         self._coef = sfft.dstn(w, type=1)
         self._pending = self.diff_half
 
+    def react(self, y: np.ndarray) -> None:
+        """R(h) in place on the interior values y."""
+        if self.nu_c is None:
+            y *= self.full_pot
+            return
+        denom = self.nu_c * y
+        denom += 1.0
+        y *= self.full_pot
+        y /= denom
+
     def advance(self) -> None:
-        """One step: the pending diffusion, then P(h)."""
+        """One step: the pending diffusion, then R(h)."""
         self._coef *= self._pending
         y = sfft.dstn(self._coef, type=1, overwrite_x=True)
-        y *= self.full_pot
+        self.react(y)
         self._coef = sfft.dstn(y, type=1)
         self._pending = self.diff_full
 
@@ -353,17 +380,23 @@ def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
                     store_times=None) -> Field | dict:
     """Mild solution of d(phi) = H phi - nu phi^2 with zero boundary data.
 
-    Strang arrangement: half absorption (exact pointwise 1/(1 + nu s phi)
-    flow), full linear step, half absorption.  The comparison solution
-    w = T_t phi0 is propagated alongside as one chain of merged
-    half-diffusions, closed every step, and the bounds 0 <= phi <= w are
-    enforced after every step.  With nu = 0, phi is that closed w clipped
-    at zero, so it equals ``semigroup_apply`` bit for bit.
+    One semilinear Strang chain D(h/2) R(h) D(h/2), R the exact flow of
+    dz = xi_e z - nu z^2, with merged half-diffusions (two DSTs per step).
+    For nu > 0 the comparison solution w = T_t phi0 runs beside it as a
+    nu = 0 chain of the same stepper, so a step costs four DSTs.  Both
+    chains are closed only at a stored time and at t; there phi is clipped
+    at zero and the bound phi <= w + 1e-9 max(1, max w) is enforced, with
+    ``ArithmeticError`` on a violation.  With nu = 0 the one chain is w, and
+    phi is ``semigroup_apply`` clipped at zero, bit for bit.
 
     With ``store_times`` a dict {s: Field} of intermediate states is
     returned (s = 0 maps to a copy of phi0); otherwise the final state.
-    A store time off the dt grid or outside [0, t] raises ``ValueError``.
+    A store time off the dt grid or outside [0, t], a negative or
+    non-finite nu, or a negative or non-Dirichlet phi0 raises ``ValueError``.
     """
+    nu = float(nu)
+    if not math.isfinite(nu) or nu < 0.0:
+        raise ValueError(f"absorption coefficient nu must be finite and nonnegative, got {nu}")
     if float(np.min(phi0.values)) < 0:
         raise ValueError("initial condition must be nonnegative")
     if not phi0.is_dirichlet():
@@ -375,25 +408,19 @@ def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
     steps = _step_count(t, dt)
     sl = spec.interior_slices()
     linear = _StrangStepper(spec, env.xi_e, dt)
-    absorbed = _StrangStepper(spec, env.xi_e, dt) if nu != 0.0 else None
-    phi = phi0.values[sl].copy()
-    linear.restart(phi)
+    absorbed = _StrangStepper(spec, env.xi_e, dt, nu) if nu != 0.0 else None
+    chains = [linear] if absorbed is None else [linear, absorbed]
+    for chain in chains:
+        chain.restart(phi0.values[sl])
     stored = {s: phi0.copy() for s, k in wanted.items() if k == 0}
-
-    def sink(arr: np.ndarray, tau: float) -> None:
-        arr /= 1.0 + nu * tau * arr
-
+    closes = set(wanted.values()) | {steps}
     for k in range(1, steps + 1):
-        linear.advance()
+        for chain in chains:
+            chain.advance()
+        if k not in closes:
+            continue
         wlin = linear.state()
-        if absorbed is None:
-            phi = wlin.copy()
-        else:
-            sink(phi, 0.5 * dt)
-            absorbed.restart(phi)
-            absorbed.advance()
-            phi = absorbed.state()
-            sink(phi, 0.5 * dt)
+        phi = wlin.copy() if absorbed is None else absorbed.state()
         np.clip(phi, 0.0, None, out=phi)
         if np.any(phi > wlin + 1e-9 * max(1.0, float(wlin.max()))):
             raise ArithmeticError("comparison bound phi <= T_t phi0 violated")

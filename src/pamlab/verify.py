@@ -239,7 +239,8 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
     """Mean constancy in s of N(s) = exp(-<mu_s, U_{t-s} phi0>).
 
     U is the quadratic-absorption dual flow with coefficient nu (defaults to
-    the environment's closed-form value).  The s = 0 value is deterministic
+    the environment's closed-form value); a negative or non-finite nu raises
+    ``ValueError`` before any replica runs.  The s = 0 value is deterministic
     (mu_0 = delta_0), so every later grid mean is compared against it at
     three standard errors.  phi0 = 0 makes N identically one, exactly.
     """

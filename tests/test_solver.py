@@ -11,6 +11,7 @@ from pamlab.io import read_field_text
 from pamlab.lattice import Field, LatticeSpec
 from pamlab.solver import (
     PamProblem,
+    _StrangStepper,
     apply_hamiltonian,
     constant_environment,
     dense_hamiltonian,
@@ -35,25 +36,45 @@ def bump(spec, amplitude=0.5):
 
 
 def strang_oracle(env, w0, T, dt):
-    """Every state of the unmerged Strang sequence: four DSTs per step on the
-    full box array, the DST-I scale divided out after each diffusion."""
+    """Every state of the unmerged linear Strang sequence."""
+    return dual_strang_oracle(env, w0, 0.0, T, dt)
+
+
+def dual_strang_oracle(env, phi0, nu, T, dt):
+    """Every state of the unmerged Strang sequence D(h/2) R(h) D(h/2): four
+    DSTs per step on the full box array, the DST-I scale divided out after
+    each diffusion, and R the closed-form flow of dz = xi z - nu z^2."""
     spec = env.spec
     sl = spec.interior_slices()
     half = np.exp(0.5 * dt * laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n))
-    pot = np.exp(dt * np.asarray(env.xi_e))
+    xi = np.asarray(env.xi_e)
+    pot = np.exp(dt * xi)
+    c = np.where(xi == 0.0, dt, np.expm1(dt * xi) / np.where(xi == 0.0, 1.0, xi))
     scale = (2.0 * spec.L * spec.n) ** spec.d
 
     def diffuse(w):
         w[sl] = sfft.dstn(sfft.dstn(w[sl], type=1) * half, type=1) / scale
 
-    w = w0.values.copy()
+    w = phi0.values.copy()
     states = [w.copy()]
     for _ in range(round(T / dt)):
         diffuse(w)
-        w *= pot
+        w = w * pot / (1.0 + nu * c * w)
         diffuse(w)
         states.append(w.copy())
     return states
+
+
+def rk4(rhs, z, h, steps):
+    """Classical RK4 for dz = rhs(z) over h in ``steps`` equal steps."""
+    k = h / steps
+    for _ in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * k * k1)
+        k3 = rhs(z + 0.5 * k * k2)
+        k4 = rhs(z + k * k3)
+        z = z + k / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
 
 
 def assert_close(got, want):
@@ -331,13 +352,81 @@ class TestDualFkpp:
         assert out.values.min() >= 0.0
         assert np.all(out.values <= lin.values + 1e-9)
 
-    def test_self_convergence_linear_in_dt(self):
+    @pytest.mark.parametrize("store", [None, [0.002]])
+    def test_comparison_violation_raises(self, monkeypatch, store):
+        # an absorbed chain that outgrows T_t phi0 is caught at the first close
+        env = build_environment(8, 2, 1, "gaussian", 7)
+        react = _StrangStepper.react
+
+        def overgrow(self, y):
+            react(self, y)
+            if self.nu_c is not None:
+                y *= 1.5
+
+        monkeypatch.setattr(_StrangStepper, "react", overgrow)
+        with pytest.raises(ArithmeticError, match="comparison bound"):
+            solve_dual_fkpp(env, bump(env.spec), 0.4, 0.1, 1e-3, store_times=store)
+
+    def test_self_convergence_second_order_in_dt(self):
         env = build_environment(8, 2, 1, "gaussian", 7)
         phi0 = bump(env.spec)
         t = 0.2
-        a = solve_dual_fkpp(env, phi0, 0.4, t, 1e-3)
-        b = solve_dual_fkpp(env, phi0, 0.4, t, 5e-4)
-        assert np.abs(a.values - b.values).max() < 1e-3
+        a, b, c = (solve_dual_fkpp(env, phi0, 0.4, t, dt).values
+                   for dt in (1e-3, 5e-4, 2.5e-4))
+        assert np.abs(a - b).max() < 1e-3
+        ratio = np.abs(a - b).max() / np.abs(b - c).max()
+        assert 3.5 <= ratio <= 4.5
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_unmerged_oracle(self, d):
+        env = build_environment(8, 2, d, "gaussian", 5)
+        phi0 = bump(env.spec, 2.0)
+        t, dt, nu = 0.2, 1e-3, 0.7
+        ref = dual_strang_oracle(env, phi0, nu, t, dt)
+        states = solve_dual_fkpp(env, phi0, nu, t, dt, store_times=[t / 2, t])
+        assert_close(states[t / 2].values, ref[100])
+        assert_close(states[t].values, ref[200])
+        # the absorption is felt well above the tolerance
+        linear = dual_strang_oracle(env, phi0, 0.0, t, dt)[200]
+        assert np.abs(linear - ref[200]).max() > 1e-3 * np.abs(ref[200]).max()
+
+    def test_reaction_is_exact_flow(self):
+        # interior potentials a > 0, a < 0 and a = 0 on a three-site box
+        spec = LatticeSpec(n=2, L=2, d=1)
+        a = np.array([20.0, -20.0, 0.0])
+        xi_e = np.zeros(spec.shape)
+        xi_e[spec.interior_slices()] = a
+        h, b = 0.05, 0.8
+        z0 = np.array([1.5, 1.5, 1.5])
+        with np.errstate(all="raise"):
+            stepper = _StrangStepper(spec, xi_e, h, nu=b)
+            got = z0.copy()
+            stepper.react(got)
+        assert stepper.nu_c[2] == b * h
+        want = rk4(lambda z: a * z - b * z * z, z0, h, 4000)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("nu", [-5.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_nu_rejected(self, nu):
+        env = build_environment(8, 2, 1, "gaussian", 1)
+        with pytest.raises(ValueError, match="nu"):
+            solve_dual_fkpp(env, bump(env.spec), nu, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("nu, per_step, per_close", [(0.6, 4, 2), (0.0, 2, 1)])
+    def test_dst_count(self, monkeypatch, nu, per_step, per_close):
+        env = build_environment(8, 2, 2, "gaussian", 3)
+        calls = []
+        dstn = sfft.dstn
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dstn(*args, **kwargs)
+
+        monkeypatch.setattr(sfft, "dstn", counting)
+        t, dt, store = 0.05, 1e-3, [0.01, 0.03]
+        solve_dual_fkpp(env, bump(env.spec), nu, t, dt, store_times=store)
+        steps, k = round(t / dt), len(store)
+        assert len(calls) <= per_step * steps + per_close * (k + 2)
 
     def test_matches_picard_oracle(self):
         # Picard iteration on the mild equation with dense exact propagators

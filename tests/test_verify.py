@@ -94,6 +94,12 @@ class TestLaplaceFunctional:
         with pytest.raises(ValueError):
             verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=phi0, replicas=2)
 
+    def test_rejects_negative_nu(self, env_d1):
+        phi0 = verify.smooth_bump(env_d1.spec)
+        with pytest.raises(ValueError, match="nu"):
+            verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=phi0, replicas=2,
+                                           nu=-1.0)
+
 
 class TestMassTail:
     def test_tail_below_initial_mass_is_one(self, env_d1):
