@@ -20,6 +20,16 @@ multiplicities (1, 2, ..., 2, 1) per axis, and norms are taken one block at
 a time.  The trigonometric refinement zero-pads the same box coefficients.
 The torus path (``lp_block_torus``, ``all_blocks_torus``: real FFT round
 trips of the extension on half-grid symbols) is kept as the tests' oracle.
+
+A field's blocks are made once for everything that needs them.  The public
+products and norms are thin wrappers over helpers on block sequences: the
+paraproduct and the resonant product stream both factors' blocks in
+lockstep, a window of them alive at a time; the Bony decomposition forms
+its three products from one block list per factor; and a stream can hand
+each block's Besov term to a caller as it passes (``_metered``).  A
+constant lives in block -1 alone, since rho_{-1}(0) = 1 and every other
+symbol, the tail included, vanishes at k = 0, so the norms of u and u + c
+share all other terms (``_norms_with_constant``).
 """
 
 from __future__ import annotations
@@ -156,6 +166,11 @@ def _on_box(block: np.ndarray, spec: LatticeSpec, flavor: str) -> np.ndarray:
     return out
 
 
+def _box_block_stream(part: DyadicPartition, u: Field, flavor: str):
+    """The blocks of ``all_blocks``, made one at a time."""
+    return (_on_box(b, u.spec, flavor) for b in _box_blocks(u, flavor, part.symbols))
+
+
 def lp_block(partition: DyadicPartition, j: int, u: Field, flavor: str) -> Field:
     """Block j of a box field; commutes with the flavor extension."""
     check_partition(partition, u.spec)
@@ -166,7 +181,7 @@ def lp_block(partition: DyadicPartition, j: int, u: Field, flavor: str) -> Field
 def all_blocks(partition: DyadicPartition, u: Field, flavor: str) -> list:
     """All blocks of a box field as value arrays on the box."""
     check_partition(partition, u.spec)
-    return [_on_box(b, u.spec, flavor) for b in _box_blocks(u, flavor, partition.symbols)]
+    return list(_box_block_stream(partition, u, flavor))
 
 
 def _torus_symbols(partition: DyadicPartition) -> list:
@@ -245,6 +260,27 @@ def lp_norm(u: Field, p: float, flavor: str) -> float:
     return _box_lp_norm(values, p, u.spec, flavor)
 
 
+def _block_term(j: int, block: np.ndarray, params: BesovParams, spec: LatticeSpec) -> float:
+    """2^{alpha j} ||block||_{L^p}: block j's entry of the Besov sequence."""
+    return 2.0 ** (params.alpha * j) * _box_lp_norm(block, params.p, spec, params.flavor)
+
+
+def _lq_norm(terms, q: float) -> float:
+    """The l^q norm of a Besov sequence."""
+    terms = np.array(terms)
+    if math.isinf(q):
+        return float(terms.max())
+    return float((terms ** q).sum() ** (1.0 / q))
+
+
+def _metered(blocks, params: BesovParams, spec: LatticeSpec, terms: list):
+    """Pass a ``_box_blocks`` stream through, appending each block's Besov
+    term to ``terms`` as the block goes by."""
+    for j, block in enumerate(blocks, -1):
+        terms.append(_block_term(j, block, params, spec))
+        yield block
+
+
 def besov_norm(u: Field, params: BesovParams, partition: DyadicPartition | None = None) -> float:
     """|| (2^{alpha j} ||Delta_j ext(u)||_{L^p})_{j <= j_n} ||_{l^q}.
 
@@ -253,13 +289,66 @@ def besov_norm(u: Field, params: BesovParams, partition: DyadicPartition | None 
     """
     part = _partition_for(u.spec, partition)
     blocks = _box_blocks(u, params.flavor, part.symbols)
-    terms = np.array([
-        2.0 ** (params.alpha * j) * _box_lp_norm(b, params.p, u.spec, params.flavor)
-        for j, b in zip(part.block_indices, blocks)
-    ])
-    if math.isinf(params.q):
-        return float(terms.max())
-    return float((terms ** params.q).sum() ** (1.0 / params.q))
+    return _lq_norm([_block_term(j, b, params, u.spec)
+                     for j, b in zip(part.block_indices, blocks)], params.q)
+
+
+def _norms_with_constant(u: Field, c: float, params: BesovParams,
+                         partition: DyadicPartition | None = None) -> tuple:
+    """(||u||, ||u + c||) in the Besov space of ``params`` from one set of blocks.
+
+    A constant has the single mode k = 0, where rho_{-1} = 1 and every other
+    symbol, the tail included, is exactly 0: only block -1 tells u + c from
+    u, so the second norm reuses every other term of the first.  (The box
+    transform of a constant is exact only up to round-off, so a from-scratch
+    norm of u + c agrees to about 1e-16 relative, not bit for bit.)
+    """
+    if params.flavor != "neumann":
+        raise ValueError("a constant is a box field of the neumann class only")
+    part = _partition_for(u.spec, partition)
+    blocks = _box_blocks(u, params.flavor, part.symbols)
+    low = next(blocks)
+    shifted_low = _block_term(-1, low + c, params, u.spec)
+    terms = [_block_term(-1, low, params, u.spec)]
+    del low
+    terms += [_block_term(j, b, params, u.spec) for j, b in zip(part.block_indices[1:], blocks)]
+    return _lq_norm(terms, params.q), _lq_norm([shifted_low] + terms[1:], params.q)
+
+
+def _paraproduct_sum(low_blocks, high_blocks, shape: tuple) -> np.ndarray:
+    """sum_j (sum_{i <= j-2} low_i) high_j over two block sequences.
+
+    Takes lists or streams; of a pair of streams at most three low blocks
+    and one high block are alive at a time.
+    """
+    out = np.zeros(shape)
+    low = np.zeros(shape)  # running sum of low blocks up to j - 2
+    lag = []               # the low blocks j - 2 and j - 1
+    for p, q in zip(low_blocks, high_blocks):
+        if len(lag) == 2:
+            low += lag.pop(0)
+            out += low * q
+        lag.append(p)
+    return out
+
+
+def _resonant_sum(blocks_phi, blocks_psi, shape: tuple) -> np.ndarray:
+    """sum_{|i - j| <= 1} phi_i psi_j over two block sequences of equal length,
+    in the order i = -1, 0, ..., j = i - 1, i, i + 1.
+
+    Takes lists or streams; of a pair of streams at most one phi block and
+    three psi blocks are alive at a time.
+    """
+    out = np.zeros(shape)
+    psi = iter(blocks_psi)
+    prev, cur = None, next(psi)
+    for p in blocks_phi:
+        nxt = next(psi, None)
+        for q in (prev, cur, nxt):
+            if q is not None:
+                out += p * q
+        prev, cur = cur, nxt
+    return out
 
 
 def paraproduct(phi: Field, psi: Field, flavor_phi: str = "dirichlet",
@@ -275,15 +364,9 @@ def paraproduct(phi: Field, psi: Field, flavor_phi: str = "dirichlet",
     if phi.spec != psi.spec:
         raise ValueError("paraproduct requires matching lattice specs")
     part = _partition_for(phi.spec, partition)
-    bp = all_blocks(part, phi, flavor_phi)
-    bq = all_blocks(part, psi, flavor_psi)
-    out = np.zeros(phi.spec.shape)
-    low = np.zeros(phi.spec.shape)  # running sum of phi-blocks up to j - 2
-    for idx, j in enumerate(part.block_indices):
-        if idx >= 2:
-            low = low + bp[idx - 2]
-            out = out + low * bq[idx]
-    return Field(phi.spec, out)
+    return Field(phi.spec, _paraproduct_sum(_box_block_stream(part, phi, flavor_phi),
+                                            _box_block_stream(part, psi, flavor_psi),
+                                            phi.spec.shape))
 
 
 def resonant(phi: Field, psi: Field, flavor_phi: str = "neumann",
@@ -293,25 +376,27 @@ def resonant(phi: Field, psi: Field, flavor_phi: str = "neumann",
     if phi.spec != psi.spec:
         raise ValueError("resonant product requires matching lattice specs")
     part = _partition_for(phi.spec, partition)
-    bp = all_blocks(part, phi, flavor_phi)
-    bq = all_blocks(part, psi, flavor_psi)
-    out = np.zeros(phi.spec.shape)
-    nb = len(bp)
-    for i in range(nb):
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < nb:
-                out = out + bp[i] * bq[j]
-    return Field(phi.spec, out)
+    return Field(phi.spec, _resonant_sum(_box_block_stream(part, phi, flavor_phi),
+                                         _box_block_stream(part, psi, flavor_psi),
+                                         phi.spec.shape))
 
 
 def bony_decomposition(phi: Field, psi: Field, flavor_phi: str, flavor_psi: str,
                        partition: DyadicPartition | None = None) -> tuple:
-    """(phi<psi, psi<phi, phi o psi); the three sum to the pointwise product."""
+    """(phi<psi, psi<phi, phi o psi); the three sum to the pointwise product.
+
+    The blocks of phi and of psi are made once and serve all three products,
+    each bit for bit the separate call.
+    """
+    if phi.spec != psi.spec:
+        raise ValueError("Bony decomposition requires matching lattice specs")
     part = _partition_for(phi.spec, partition)
-    lh = paraproduct(phi, psi, flavor_phi, flavor_psi, part)
-    hl = paraproduct(psi, phi, flavor_psi, flavor_phi, part)
-    res = resonant(phi, psi, flavor_phi, flavor_psi, part)
-    return lh, hl, res
+    bp = all_blocks(part, phi, flavor_phi)
+    bq = all_blocks(part, psi, flavor_psi)
+    shape = phi.spec.shape
+    return (Field(phi.spec, _paraproduct_sum(bp, bq, shape)),
+            Field(phi.spec, _paraproduct_sum(bq, bp, shape)),
+            Field(phi.spec, _resonant_sum(bp, bq, shape)))
 
 
 def extension_operator(u: Field, flavor: str, refinement: int) -> np.ndarray:

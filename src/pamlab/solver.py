@@ -32,7 +32,6 @@ scheme that doubles as the convergence oracle for meshes up to n = 16.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +132,30 @@ def _interior_field(spec: LatticeSpec, values: np.ndarray) -> Field:
     return Field(spec, full)
 
 
+def _absorption(spec: LatticeSpec, nu):
+    """nu as a float, or as a box array when it varies by site.
+
+    An array must have the box shape; every entry, like a scalar nu, must
+    be finite and nonnegative, else ``ValueError``.
+    """
+    arr = np.asarray(nu, dtype=np.float64)
+    if arr.ndim and arr.shape != spec.shape:
+        raise ValueError(f"absorption coefficient nu has shape {arr.shape}, "
+                         f"not the box shape {spec.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        got = float(arr) if arr.ndim == 0 else f"entries in [{arr.min()}, {arr.max()}]"
+        raise ValueError(f"absorption coefficient nu must be finite and nonnegative, got {got}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
 class _StrangStepper:
     """Strang steps D(h/2) R(h) D(h/2) of one step size h on the interior.
 
     D is the Dirichlet heat flow, diagonal in the DST-I basis, and R the
     exact flow of the pointwise reaction dz = xi_e z - nu z^2 over h,
     z -> z e^{h xi_e} / (1 + nu z c) with c = expm1(h xi_e) / xi_e (c = h
-    where xi_e = 0); with nu = 0 it is the single factor exp(h xi_e).  Both
+    where xi_e = 0); nu is a scalar or a box array (``_absorption``).  With
+    nu = 0 everywhere R is the single factor exp(h xi_e).  Both
     act on contiguous interior arrays.  The diffusion symbols are divided by
     the DST-I scale (2 L n)^d once, so a diffusion is an unnormalised DST,
     an in-place product and a DST.
@@ -152,16 +168,18 @@ class _StrangStepper:
     it was.  ``state`` is defined once the chain has advanced.
     """
 
-    def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float, nu: float = 0.0):
+    def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float, nu=0.0):
         from .spectral import frequency_grid, laplacian_symbol
 
-        xi = np.asarray(xi_e)[spec.interior_slices()]
+        sl = spec.interior_slices()
+        xi = np.asarray(xi_e)[sl]
+        nu = _absorption(spec, nu)
         self.full_pot = np.exp(dt * xi)
         self.nu_c = None
-        if nu != 0.0:
+        if np.any(nu != 0.0):
             c = np.full(xi.shape, dt)
             np.divide(np.expm1(dt * xi), xi, out=c, where=xi != 0.0)
-            self.nu_c = nu * c
+            self.nu_c = (nu if np.ndim(nu) == 0 else nu[sl]) * c
         ln = laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n)
         scale = (2.0 * spec.L * spec.n) ** spec.d
         self.diff_full = np.exp(dt * ln) / scale
@@ -376,7 +394,7 @@ def principal_eigenpair(env, tol: float = 1e-8, maxit: int = 2000) -> EigenPair:
                      residual=residual, iterations=applications)
 
 
-def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
+def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,
                     store_times=None) -> Field | dict:
     """Mild solution of d(phi) = H phi - nu phi^2 with zero boundary data.
 
@@ -391,12 +409,12 @@ def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
 
     With ``store_times`` a dict {s: Field} of intermediate states is
     returned (s = 0 maps to a copy of phi0); otherwise the final state.
-    A store time off the dt grid or outside [0, t], a negative or
-    non-finite nu, or a negative or non-Dirichlet phi0 raises ``ValueError``.
+    nu is a scalar or a box array of site-dependent coefficients.  A store
+    time off the dt grid or outside [0, t], a nu of another shape or with a
+    negative or non-finite entry, or a negative or non-Dirichlet phi0
+    raises ``ValueError``.
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"absorption coefficient nu must be finite and nonnegative, got {nu}")
+    nu = _absorption(env.spec, nu)
     if float(np.min(phi0.values)) < 0:
         raise ValueError("initial condition must be nonnegative")
     if not phi0.is_dirichlet():
@@ -408,7 +426,7 @@ def solve_dual_fkpp(env, phi0: Field, nu: float, t: float, dt: float,
     steps = _step_count(t, dt)
     sl = spec.interior_slices()
     linear = _StrangStepper(spec, env.xi_e, dt)
-    absorbed = _StrangStepper(spec, env.xi_e, dt, nu) if nu != 0.0 else None
+    absorbed = _StrangStepper(spec, env.xi_e, dt, nu) if np.any(nu != 0.0) else None
     chains = [linear] if absorbed is None else [linear, absorbed]
     for chain in chains:
         chain.restart(phi0.values[sl])

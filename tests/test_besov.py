@@ -6,6 +6,7 @@ import pytest
 
 from pamlab.besov import (
     BesovParams,
+    _norms_with_constant,
     TimeWeightedNormParams,
     all_blocks,
     all_blocks_torus,
@@ -111,6 +112,16 @@ class TestPartition:
         part = build_partition(spec)
         # the box mode grid puts k = 0 in the corner
         assert part.symbol(-1).flat[0] == 1.0
+
+    @pytest.mark.parametrize("geom", [(2, 6, 1), (4, 2, 1), (8, 2, 2), (16, 4, 2), (256, 2, 2)])
+    def test_symbols_at_zero_are_exactly_the_low_block(self, geom):
+        # a constant lives in block -1 alone, tail included: the survey's raw
+        # resonant norm relies on this to reuse every other block
+        n, L, d = geom
+        part = build_partition(LatticeSpec(n=n, L=L, d=d))
+        at_zero = [float(sym.flat[0]) for sym in part.symbols]
+        assert len(at_zero) == part.j_n + 2
+        assert at_zero == [1.0] + [0.0] * (part.j_n + 1)
 
     def test_block_index_out_of_range(self):
         spec = LatticeSpec(n=4, L=2, d=1)
@@ -259,6 +270,25 @@ class TestBesovNorm:
         assert peak < 6 * u.values.nbytes
 
 
+    @pytest.mark.parametrize("p, q", [(math.inf, math.inf), (2.0, 1.0), (3.0, 2.0)])
+    @pytest.mark.parametrize("geom", [(8, 2, 1), (16, 2, 2), (2, 6, 1)])
+    def test_norms_with_constant_reuse_the_high_blocks(self, p, q, geom):
+        n, L, d = geom
+        spec = LatticeSpec(n=n, L=L, d=d)
+        part = build_partition(spec)
+        u = rand_field(spec, 7)
+        params = BesovParams(-0.4, p=p, q=q, flavor="neumann")
+        c = 3.7
+        plain, shifted = _norms_with_constant(u, c, params, part)
+        assert plain == besov_norm(u, params, part)
+        want = besov_norm(Field(spec, u.values + c), params, part)
+        assert shifted == pytest.approx(want, rel=1e-13)
+
+    def test_norms_with_constant_reject_dirichlet(self):
+        spec = LatticeSpec(n=8, L=2, d=1)
+        with pytest.raises(ValueError):
+            _norms_with_constant(rand_field(spec, 1, dirichlet=True), 1.0, BesovParams(0.5))
+
     def test_zero_field(self):
         spec = LatticeSpec(n=4, L=2, d=2)
         assert besov_norm(Field.zeros(spec), BesovParams(0.5)) == 0.0
@@ -324,8 +354,58 @@ class TestBony:
     def test_mismatched_specs_rejected(self):
         a = rand_field(LatticeSpec(n=4, L=2, d=1))
         b = rand_field(LatticeSpec(n=8, L=2, d=1))
-        with pytest.raises(ValueError):
-            paraproduct(a, b)
+        for call in (paraproduct, resonant, bony_decomposition):
+            with pytest.raises(ValueError):
+                call(a, b, "neumann", "neumann")
+
+    @pytest.mark.parametrize("flavors", [("neumann", "neumann"), ("dirichlet", "neumann"),
+                                         ("dirichlet", "dirichlet")])
+    @pytest.mark.parametrize("geom", [(8, 2, 1), (16, 2, 2), (2, 6, 1)])
+    def test_decomposition_equals_separate_calls(self, flavors, geom):
+        n, L, d = geom
+        spec = LatticeSpec(n=n, L=L, d=d)
+        part = build_partition(spec)
+        fp, fq = flavors
+        phi = rand_field(spec, 3, dirichlet=fp == "dirichlet")
+        psi = rand_field(spec, 4, dirichlet=fq == "dirichlet")
+        got = bony_decomposition(phi, psi, fp, fq, part)
+        want = (paraproduct(phi, psi, fp, fq, part), paraproduct(psi, phi, fq, fp, part),
+                resonant(phi, psi, fp, fq, part))
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+
+    @pytest.mark.parametrize("flavors", [("neumann", "neumann"), ("dirichlet", "neumann")])
+    def test_streamed_products_match_block_list_oracle(self, flavors):
+        # the double loops over full block lists, summed in the same order
+        spec = LatticeSpec(n=16, L=2, d=2)
+        part = build_partition(spec)
+        fp, fq = flavors
+        phi = rand_field(spec, 5, dirichlet=fp == "dirichlet")
+        psi = rand_field(spec, 6, dirichlet=fq == "dirichlet")
+        bp, bq = all_blocks(part, phi, fp), all_blocks(part, psi, fq)
+        nb = len(bp)
+        lh = np.zeros(spec.shape)
+        low = np.zeros(spec.shape)
+        for j in range(2, nb):
+            low = low + bp[j - 2]
+            lh = lh + low * bq[j]
+        res = np.zeros(spec.shape)
+        for i in range(nb):
+            for j in (i - 1, i, i + 1):
+                if 0 <= j < nb:
+                    res = res + bp[i] * bq[j]
+        assert np.array_equal(paraproduct(phi, psi, fp, fq, part).values, lh)
+        assert np.array_equal(resonant(phi, psi, fp, fq, part).values, res)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_decomposition_makes_each_factors_blocks_once(self, fft_calls, n):
+        # one forward DCT-I and one inverse per block, for each of phi and psi
+        spec = LatticeSpec(n=n, L=2, d=2)
+        part = build_partition(spec)
+        phi, psi = rand_field(spec, 1), rand_field(spec, 2)
+        calls = fft_calls("dctn", "idctn")
+        bony_decomposition(phi, psi, "neumann", "neumann", part)
+        assert len(calls) == 2 * (len(part.symbols) + 1)
 
     def test_separated_modes_concentrate_in_paraproduct(self):
         # |k| << |k'|: the product mass sits in the low-high term

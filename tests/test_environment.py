@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pamlab.besov import BesovParams, besov_norm, build_partition, lp_norm, resonant
 from pamlab.environment import (
     NoiseRealization,
     NoiseSpec,
@@ -227,3 +229,92 @@ class TestLemmaNormSurvey:
         rows = regularity_norm_survey([8], [0, 1], alpha=1.2, eps=0.1, L=2, d=1)
         assert all(math.isnan(r["resonant_renorm"]) for r in rows)
         assert all(np.isfinite(r["xi_neg_reg"]) for r in rows)
+
+
+def survey_oracle(n, seed, alpha, eps, d, distribution="gaussian"):
+    """One survey row from scratch: every column a ``besov_norm`` of its own
+    field, and the raw resonant product built as renormalized + kappa."""
+    spec = LatticeSpec(n=n, L=2, d=d, centered=True)
+    part = build_partition(spec)
+    noise = sample_noise(NoiseSpec(distribution, seed, spec))
+    pos = positive_part_statistics(noise).field
+    nan = float("nan")
+    row = {"n": n, "seed": seed, "alpha": alpha, "eps": eps, "kappa_n": 0.0,
+           "xi_neg_reg": besov_norm(noise.field, BesovParams(alpha - 2, flavor="neumann"), part),
+           "xi_pos_reg": besov_norm(pos, BesovParams(-eps, flavor="neumann"), part),
+           "xi_pos_l2": lp_norm(pos, 2.0, "neumann"),
+           "X_reg": nan, "resonant_renorm": nan, "resonant_raw": nan}
+    if d == 2:
+        kappa = renormalization_constant(spec)
+        X = build_X(noise)
+        renorm = Field(spec, resonant(X, noise.field, "neumann", "neumann", part).values - kappa)
+        raw = Field(spec, renorm.values + kappa)
+        res = BesovParams(2 * alpha - 2, flavor="neumann")
+        row.update(kappa_n=kappa,
+                   X_reg=besov_norm(X, BesovParams(alpha, flavor="neumann"), part),
+                   resonant_renorm=besov_norm(renorm, res, part),
+                   resonant_raw=besov_norm(raw, res, part))
+    return row
+
+
+class TestSurveySharesBlocks:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_d2_rows_match_from_scratch_oracle(self, n):
+        rows = regularity_norm_survey([n], [11, 12], alpha=0.8, eps=0.1, L=2, d=2)
+        for row in rows:
+            want = survey_oracle(n, row["seed"], 0.8, 0.1, 2)
+            assert list(row) == list(want)
+            for key, value in row.items():
+                if key == "resonant_raw":
+                    assert value == pytest.approx(want[key], rel=1e-13, abs=0)
+                else:
+                    assert value == want[key], key
+
+    def test_d1_rows_match_from_scratch_oracle(self):
+        rows = regularity_norm_survey([8, 16], [3, 4], alpha=1.2, eps=0.1, L=2, d=1,
+                                      distribution="uniform")
+        for row in rows:
+            want = survey_oracle(row["n"], row["seed"], 1.2, 0.1, 1, "uniform")
+            assert list(row) == list(want)
+            for key, value in row.items():
+                assert value == want[key] or (math.isnan(value) and math.isnan(want[key])), key
+
+    def test_kappa_computed_once_per_lattice(self, monkeypatch):
+        import pamlab.environment as environment
+
+        calls = []
+
+        def counting(spec, chi=None):
+            calls.append(spec.n)
+            return renormalization_constant(spec, chi)
+
+        monkeypatch.setattr(environment, "renormalization_constant", counting)
+        regularity_norm_survey([8, 16], [1, 2, 3], alpha=0.8, eps=0.1, L=2, d=2)
+        assert calls == [8, 16]
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_dct_count_per_row(self, fft_calls, n):
+        # build_X: 3; the blocks of X, xi, n^{-1} xi_+ and X o xi - kappa: 4 (B + 1)
+        B = len(build_partition(LatticeSpec(n=n, L=2, d=2)).symbols)
+        calls = fft_calls("dctn", "idctn")
+        regularity_norm_survey([n], [5, 6], alpha=0.8, eps=0.1, L=2, d=2)
+        assert len(calls) == 2 * (3 + 4 * (B + 1))
+
+    def test_row_peak_memory_within_build_environment(self):
+        # X's and xi's blocks stream through the resonant product, so a row
+        # holds no more than building the environment does
+        n = 64
+        box = 8 * (2 * n + 1) ** 2
+
+        def peak(call):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / box
+            finally:
+                tracemalloc.stop()
+
+        row = peak(lambda: regularity_norm_survey([n], [3], alpha=0.8, eps=0.1, L=2, d=2))
+        env = peak(lambda: build_environment(n, 2, 2, "gaussian", 3))
+        assert row <= env

@@ -43,7 +43,8 @@ def strang_oracle(env, w0, T, dt):
 def dual_strang_oracle(env, phi0, nu, T, dt):
     """Every state of the unmerged Strang sequence D(h/2) R(h) D(h/2): four
     DSTs per step on the full box array, the DST-I scale divided out after
-    each diffusion, and R the closed-form flow of dz = xi z - nu z^2."""
+    each diffusion, and R the closed-form flow of dz = xi z - nu z^2, with
+    nu a scalar or a box array."""
     spec = env.spec
     sl = spec.interior_slices()
     half = np.exp(0.5 * dt * laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n))
@@ -412,17 +413,49 @@ class TestDualFkpp:
         with pytest.raises(ValueError, match="nu"):
             solve_dual_fkpp(env, bump(env.spec), nu, 0.1, 1e-3)
 
+    @pytest.mark.parametrize("c", [0.0, 0.6])
+    def test_constant_nu_array_matches_scalar(self, c):
+        env = build_environment(8, 2, 2, "gaussian", 5)
+        phi0 = bump(env.spec, 2.0)
+        store = [0.05, 0.1]
+        want = solve_dual_fkpp(env, phi0, c, 0.1, 1e-3, store_times=store)
+        got = solve_dual_fkpp(env, phi0, np.full(env.spec.shape, c), 0.1, 1e-3,
+                              store_times=store)
+        for s in store:
+            assert np.array_equal(got[s].values, want[s].values)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_site_dependent_nu_matches_unmerged_oracle(self, d):
+        # nu = xi_+ / K, the branching rate per unit mass of the finite-n dual
+        env = build_environment(8, 2, d, "gaussian", 5)
+        phi0 = bump(env.spec, 2.0)
+        t, dt = 0.2, 1e-3
+        nu = np.maximum(env.noise.scaled(), 0.0)
+        ref = dual_strang_oracle(env, phi0, nu, t, dt)
+        states = solve_dual_fkpp(env, phi0, nu, t, dt, store_times=[t / 2, t])
+        assert_close(states[t / 2].values, ref[100])
+        assert_close(states[t].values, ref[200])
+        # the site dependence is felt well above the tolerance
+        mean = dual_strang_oracle(env, phi0, float(nu.mean()), t, dt)[200]
+        assert np.abs(mean - ref[200]).max() > 1e-3 * np.abs(ref[200]).max()
+
+    @pytest.mark.parametrize("bad", ["interior shape", "negative", "nan", "inf"])
+    def test_bad_nu_array_rejected(self, bad):
+        env = build_environment(8, 2, 2, "gaussian", 1)
+        nu = np.full(env.spec.shape, 0.5)
+        if bad == "interior shape":
+            nu = nu[env.spec.interior_slices()]
+        else:
+            nu[3, 4] = {"negative": -1e-12, "nan": np.nan, "inf": np.inf}[bad]
+        with pytest.raises(ValueError, match="nu"):
+            solve_dual_fkpp(env, bump(env.spec), nu, 0.1, 1e-3)
+        with pytest.raises(ValueError, match="nu"):
+            _StrangStepper(env.spec, env.xi_e, 1e-3, nu)
+
     @pytest.mark.parametrize("nu, per_step, per_close", [(0.6, 4, 2), (0.0, 2, 1)])
-    def test_dst_count(self, monkeypatch, nu, per_step, per_close):
+    def test_dst_count(self, fft_calls, nu, per_step, per_close):
         env = build_environment(8, 2, 2, "gaussian", 3)
-        calls = []
-        dstn = sfft.dstn
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return dstn(*args, **kwargs)
-
-        monkeypatch.setattr(sfft, "dstn", counting)
+        calls = fft_calls("dstn")
         t, dt, store = 0.05, 1e-3, [0.01, 0.03]
         solve_dual_fkpp(env, bump(env.spec), nu, t, dt, store_times=store)
         steps, k = round(t / dt), len(store)
