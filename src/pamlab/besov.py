@@ -95,15 +95,20 @@ def block_symbol_arrays(j_n: int, kgrid: np.ndarray) -> list:
     out of the dual box) the tail is the only block and equals one.  The
     radius is taken once: |k / 2^j| = |k| / 2^j holds exactly in binary
     floating point, so each dilate phi_0(k / 2^j) is phi_0 at |k| / 2^j.
+    Each difference joins one running sum as it is made, so besides the
+    symbols only two bumps and the sum are alive at a time.
     """
     if j_n == -1:
         return [np.ones(kgrid.shape[:-1])]
     r = np.linalg.norm(kgrid, axis=-1)
-    bumps = [_radial_bump(r / 2.0 ** j) for j in range(j_n + 1)]
-    sym = [bumps[0]] + [hi - lo for lo, hi in zip(bumps, bumps[1:])]
-    tail = 1.0 - np.sum(sym, axis=0)
-    sym.append(tail)
-    return sym
+    lo = _radial_bump(r)
+    sym, total = [lo], lo.copy()
+    for j in range(1, j_n + 1):
+        hi = _radial_bump(r / 2.0 ** j)
+        sym.append(hi - lo)
+        total += sym[-1]
+        lo = hi
+    return sym + [np.subtract(1.0, total, out=total)]
 
 
 def build_partition(spec: LatticeSpec) -> DyadicPartition:
@@ -238,12 +243,12 @@ def _box_lp_norm(block: np.ndarray, p: float, spec: LatticeSpec, flavor: str) ->
     torus measure is the box sum weighted by the reflection multiplicities
     (the Dirichlet faces are zero and left out).
     """
-    a = np.abs(block)
     if math.isinf(p):
-        return float(a.max())
+        return float(max(abs(block.max()), abs(block.min())))  # no |block| copy
     w = reflection_multiplicities(spec)
     if flavor == "dirichlet":
         w = w[1:-1]
+    a = np.abs(block)
     a = a * a if p == 2 else a ** p
     total = a @ w if spec.d == 1 else w @ a @ w
     return float((total / spec.n ** spec.d) ** (1.0 / p))
@@ -336,17 +341,21 @@ def _resonant_sum(blocks_phi, blocks_psi, shape: tuple) -> np.ndarray:
     """sum_{|i - j| <= 1} phi_i psi_j over two block sequences of equal length,
     in the order i = -1, 0, ..., j = i - 1, i, i + 1.
 
-    Takes lists or streams; of a pair of streams at most one phi block and
-    three psi blocks are alive at a time.
+    Takes lists or streams.  psi_{i-1} is dropped before psi_{i+1} is made,
+    so of a pair of streams at most one phi block, two psi blocks and one
+    product are alive at a time.
     """
     out = np.zeros(shape)
     psi = iter(blocks_psi)
     prev, cur = None, next(psi)
     for p in blocks_phi:
+        if prev is not None:
+            out += p * prev
+        prev = None
         nxt = next(psi, None)
-        for q in (prev, cur, nxt):
-            if q is not None:
-                out += p * q
+        out += p * cur
+        if nxt is not None:
+            out += p * nxt
         prev, cur = cur, nxt
     return out
 

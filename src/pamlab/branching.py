@@ -22,12 +22,13 @@ box-L kill never enter the box-L process (kills are inherited).  Both facts
 together make each projection a Markov process with the killed generator
 while keeping, pathwise, the measure ordering in L.
 
-``simulate_replicas`` folds the observables of the killed processes into
-the loop (snapshot occupation, pathwise integrals, per-particle birth and
-end times) and keeps no event history; ``simulate`` records one replica's
-full history, and ``kill_schedule``, ``kill_and_project``,
-``pathwise_integrals`` and ``sup_total_mass`` recompute the same
-observables from that record, one path at a time.
+``simulate_replicas`` is the one entry point.  It folds the observables
+of the killed processes into the loop (snapshot occupation, pathwise
+integrals, per-particle birth and end times) and, when asked, records the
+event history of its first replica.  ``simulate`` is a recorded batch of
+one seed viewed as per-particle records, and ``kill_schedule``,
+``kill_and_project``, ``pathwise_integrals`` and ``sup_total_mass``
+recompute the folded observables from that record, one path at a time.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ _SURVIVE = 4                             # engine code: next clock beyond the ho
 _BIRTH_STOP = 4                          # births beyond this many caps halt a replica
 
 
-def particle_count(spec: LatticeSpec, rho: float | None = None) -> int:
-    """Initial population floor(n^rho) with the default rho = d/2."""
-    if rho is None:
-        rho = spec.d / 2.0
-    return int(math.floor(spec.n ** rho))
+def particle_count(spec: LatticeSpec) -> int:
+    """Initial population floor(n^(d/2))."""
+    return int(math.floor(spec.n ** (spec.d / 2.0)))
 
 
 def flat_index(spec: LatticeSpec, idx: tuple) -> int:
@@ -134,7 +133,7 @@ class SimulationResult:
     seed: int
     initial_count: int
     particles: list
-    events: list | None
+    events: list
     exploded: bool
 
     @property
@@ -202,7 +201,7 @@ class _Run:
     tau: np.ndarray              # (len(Ls), particles) box-L kill times
     occupation: list             # per L: sorted atom codes and their counts
     integrals: dict              # (L, name) -> per replica sum of dt * f(site)
-    events: dict | None          # event columns in firing order (record=True)
+    events: dict | None          # replica 0's event columns in firing order (record=True)
 
 
 def _grow(columns: dict, size: int) -> None:
@@ -214,12 +213,13 @@ def _grow(columns: dict, size: int) -> None:
             columns[name] = new
 
 
-def _advance(rates: AmbientRates, horizon: float, seeds, cap: int, rho,
+def _advance(rates: AmbientRates, horizon: float, seeds, cap: int,
              Ls=(), times=(), site_funcs=None, record=False) -> _Run:
     """The lockstep engine: every live particle of every replica fires its
     next event in each iteration, until no particle is left before the
     horizon.  Observables of the box-L processes are folded in per segment
-    [t, t_next) of constant position, before the event is applied."""
+    [t, t_next) of constant position, before the event is applied.  With
+    ``record``, the events of the first replica are kept as well."""
     spec = rates.spec
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -240,7 +240,7 @@ def _advance(rates: AmbientRates, horizon: float, seeds, cap: int, rho,
     funcs = {name: np.asarray(v, dtype=np.float64).ravel()
              for name, v in (site_funcs or {}).items()}
 
-    k0 = particle_count(spec, rho)
+    k0 = particle_count(spec)
     origin = flat_index(spec, spec.origin_index)
     if bmask[origin]:
         raise ValueError("origin lies on the ambient boundary; enlarge L_max")
@@ -308,7 +308,7 @@ def _advance(rates: AmbientRates, horizon: float, seeds, cap: int, rho,
             site[j_idx] = y
             kind[j_idx[bmask[y]]] = ABSORBED
         if record:
-            ev = (kind < _SURVIVE).nonzero()[0]
+            ev = ((kind < _SURVIVE) & (rep == 0)).nonzero()[0]
             for name, arr in (("pid", pid), ("t", t_next), ("kind", kind), ("site", site)):
                 events[name].append(arr[ev])
 
@@ -373,57 +373,15 @@ def _exploded(run: _Run, cap: int) -> np.ndarray:
     return run.stopped | (peak > cap)
 
 
-def simulate(rates: AmbientRates, horizon: float, seed: int,
-             cap: int = 1_000_000, rho: float | None = None,
-             collect_log: bool = False) -> SimulationResult:
-    """One exact trajectory of the labelled process up to the horizon, with
-    its full history recorded.
-
-    The lockstep engine of ``simulate_replicas`` run on the one seed: every
-    draw is keyed by (seed, particle key, event index), so the trajectory is
-    the one replica ``seed`` follows inside any batch.  Particle ids number
-    the particles in birth order; the event log is sorted by time.
-
-    The run is flagged exploded when its live population exceeded ``cap``
-    at some time, computed exactly from birth and end times.  As a memory
-    bound, a run whose births pass ``4 * cap`` is halted and flagged
-    exploded too, whatever its peak; the particles live at the halt keep
-    ``death_time`` inf with cause 'alive'.
-    """
-    run = _advance(rates, horizon, [seed], cap, rho, record=True)
-    ev = run.events
-
-    # renumber in birth order (ties, such as the initial generation, by creation)
-    order = np.argsort(run.birth, kind="stable")
-    new_id = np.empty(order.size, np.intp)
+def _birth_order(run: _Run):
+    """The first replica's particle rows in birth order (ties, such as the
+    initial generation, by creation), and the rank of each of those rows
+    (entries of other replicas' rows are left unset)."""
+    rows = (run.rep == 0).nonzero()[0]
+    order = rows[np.argsort(run.birth[rows], kind="stable")]
+    new_id = np.empty(run.rep.size, np.intp)
     new_id[order] = np.arange(order.size)
-    parent = np.where(run.parent < 0, -1, new_id[run.parent])
-
-    ev_id = new_id[ev["pid"]]
-    events = None
-    if collect_log:
-        by_time = np.lexsort((ev_id, ev["t"]))
-        events = list(zip(ev["t"][by_time].tolist(), ev_id[by_time].tolist(),
-                          ev["kind"][by_time].tolist(), ev["site"][by_time].tolist()))
-
-    moves = (ev["kind"] == JUMP) | (ev["kind"] == ABSORBED)
-    by_particle = np.lexsort((ev["t"][moves], ev_id[moves]))
-    mv_t = ev["t"][moves][by_particle].tolist()
-    mv_site = ev["site"][moves][by_particle].tolist()
-    bounds = np.searchsorted(ev_id[moves][by_particle], np.arange(order.size + 1)).tolist()
-
-    causes = {DEATH: "died", ABSORBED: "absorbed", _SURVIVE: "alive"}
-    particles = []
-    for i, row in enumerate(order.tolist()):
-        b = float(run.birth[row])
-        lo, hi = bounds[i], bounds[i + 1]
-        particles.append(ParticleRecord(
-            i, int(parent[row]), b, [b] + mv_t[lo:hi],
-            [int(run.birth_site[row])] + mv_site[lo:hi],
-            float(run.end[row]), causes[int(run.cause[row])]))
-    exploded = bool(_exploded(run, cap)[0])
-    return SimulationResult(rates, horizon, seed, run.initial_count, particles,
-                            events, exploded)
+    return order, new_id
 
 
 @dataclass
@@ -485,28 +443,42 @@ class ReplicaBatch:
         peak = _running_peak(run.rep, run.birth, end, len(self.seeds))
         return self.weight * peak
 
+    def event_log(self) -> list:
+        """The first replica's events as (time, id, kind, site) tuples,
+        sorted by time; ids number its particles in birth order."""
+        ev = self._run.events
+        if ev is None:
+            raise ValueError("the batch was not recorded; run it with record=True")
+        ev_id = _birth_order(self._run)[1][ev["pid"]]
+        by_time = np.lexsort((ev_id, ev["t"]))
+        return list(zip(ev["t"][by_time].tolist(), ev_id[by_time].tolist(),
+                        ev["kind"][by_time].tolist(), ev["site"][by_time].tolist()))
+
 
 def simulate_replicas(rates: AmbientRates, horizon: float, seeds, Ls=(),
                       snapshot_times=(), site_funcs=None,
-                      cap: int = 1_000_000) -> ReplicaBatch:
+                      cap: int = 1_000_000, record: bool = False) -> ReplicaBatch:
     """Run one replica per seed in lockstep and fold the killed observables.
 
     For every box side in ``Ls``: occupation counts at each snapshot time,
     int_0^horizon <mu_r^L, f> dr for each array of ``site_funcs`` (values
     over the ambient box), and the birth and end times from which
-    ``ReplicaBatch.sup_total_mass`` takes the sup of the total mass.
-    Replica ``seeds[i]`` follows the trajectory ``simulate(rates, horizon,
-    seeds[i])`` records, whatever the other seeds; memory grows with the
-    number of particles, not of events.  ``exploded`` follows the rule of
-    ``simulate``: peak live population over ``cap``, or births over
-    ``4 * cap``.
+    ``ReplicaBatch.sup_total_mass`` takes the sup of the total mass.  Draws
+    are keyed by (replica seed, particle key, event index), so a replica's
+    trajectory does not depend on the other seeds.  Memory grows with the
+    number of particles, not of events, unless ``record`` keeps the events
+    of replica ``seeds[0]`` for ``ReplicaBatch.event_log``.
+
+    A replica is exploded when its live population exceeded ``cap`` at some
+    time, computed exactly from birth and end times; as a memory bound, one
+    whose births pass ``4 * cap`` is halted and exploded too.
     """
     seeds = [int(s) for s in seeds]
     Ls = _check_boxes(rates.spec, Ls)
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon:
         raise ValueError("snapshot beyond the simulated horizon")
-    run = _advance(rates, horizon, seeds, cap, None, Ls, times, site_funcs)
+    run = _advance(rates, horizon, seeds, cap, Ls, times, site_funcs, record)
     w = 1.0 / run.initial_count
     return ReplicaBatch(
         spec=rates.spec, seeds=seeds, horizon=horizon,
@@ -515,6 +487,32 @@ def simulate_replicas(rates: AmbientRates, horizon: float, seeds, Ls=(),
         occupation=dict(zip(Ls, run.occupation)),
         integrals={k: w * v for k, v in run.integrals.items()},
         _run=run)
+
+
+def simulate(rates: AmbientRates, horizon: float, seed: int,
+             cap: int = 1_000_000) -> SimulationResult:
+    """One exact trajectory up to the horizon with its full history: the
+    recorded ``simulate_replicas`` batch of the one seed, as per-particle
+    records.  Ids number the particles in birth order, ``events`` is the
+    batch's ``event_log()``, and the particles live at a halt keep
+    ``death_time`` inf with cause 'alive'.
+    """
+    batch = simulate_replicas(rates, horizon, [seed], cap=cap, record=True)
+    run, events = batch._run, batch.event_log()
+    order, new_id = _birth_order(run)
+    causes = {DEATH: "died", ABSORBED: "absorbed", _SURVIVE: "alive"}
+    particles = []
+    for i, row in enumerate(order.tolist()):
+        b, up = float(run.birth[row]), int(run.parent[row])
+        particles.append(ParticleRecord(
+            i, up if up < 0 else int(new_id[up]), b, [b], [int(run.birth_site[row])],
+            float(run.end[row]), causes[int(run.cause[row])]))
+    for t, i, kind, site in events:
+        if kind == JUMP or kind == ABSORBED:
+            particles[i].path_times.append(t)
+            particles[i].path_sites.append(site)
+    return SimulationResult(rates, horizon, seed, batch.initial_count, particles,
+                            events, bool(batch.exploded[0]))
 
 
 def _max_coord_table(spec: LatticeSpec) -> np.ndarray:
@@ -561,7 +559,7 @@ def kill_schedule(result: SimulationResult, Ls) -> KillSchedule:
 class EmpiricalMeasurePath:
     """Measure snapshots per (time, box) as integer occupation counts.
 
-    Atom weights are counts / floor(n^rho); counts are kept exact so that
+    Atom weights are counts / floor(n^(d/2)); counts are kept exact so that
     the coupling-order comparison is integer arithmetic.
     """
 

@@ -1,9 +1,11 @@
 """Command-line entry point: configuration, orchestration, persistence.
 
 Commands: gen-env, solve, simulate, verify, survey.  Configuration comes
-from a flat key=value file, optionally overridden by flags that mirror the
-config fields; everything is validated before any work starts and the fully
-resolved configuration (defaults included) is echoed into the run manifest.
+from a flat key=value file, optionally overridden by flags: one per
+``RunConfig`` field, spelled ``--`` plus the field name with ``_`` turned
+into ``-`` and parsed by the same cast as its config line.  Everything is
+validated before any work starts and the fully resolved configuration
+(defaults included) is echoed into the run manifest.
 Data outputs are byte-reproducible for identical configurations; wall-clock
 timestamps live only in the manifest.
 """
@@ -11,7 +13,6 @@ timestamps live only in the manifest.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 import numpy as np
 
 from . import __version__, io as pio, verify as pverify
-from .branching import ambient_rates, simulate, simulate_replicas, write_event_log
+from .branching import ambient_rates, simulate_replicas, write_event_log
 from .environment import (
     DISTRIBUTIONS,
     build_environment,
@@ -87,16 +88,21 @@ class RunConfig:
         return out
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.resolved(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return pverify.config_hash(**self.resolved())
 
 
-_LIST_KEYS = {"n_list", "seeds", "L_list"}
-_INT_KEYS = {"d", "L_max", "replicas", "cap", "seed_base", "zero_potential"}
-_FLOAT_KEYS = {"alpha", "eps", "p", "q", "T", "dt", "amp"}
+def _int_list(text: str) -> list:
+    return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+# field -> cast of its text value, shared by config lines and flags
+_CASTS = {f.name: {"int": int, "float": float, "list": _int_list, "str": str}[f.type]
+          for f in dataclass_fields(RunConfig)}
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse ``key=value`` lines; ``overrides`` maps keys to text values, as
+    the command-line flags give them, and wins over the lines."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -107,23 +113,10 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         values[key] = val
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    known = {f.name for f in dataclass_fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - set(_CASTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    parsed = {}
-    for key, val in values.items():
-        if isinstance(val, (int, float, list)):
-            parsed[key] = val
-        elif key in _LIST_KEYS:
-            parsed[key] = [int(x) for x in str(val).split(",") if x.strip() != ""]
-        elif key in _INT_KEYS:
-            parsed[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            parsed[key] = float(val)
-        else:
-            parsed[key] = val
-    return RunConfig(**parsed)
+    return RunConfig(**{key: _CASTS[key](val) for key, val in values.items()})
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -255,12 +248,11 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
             env = _load_or_build_env(cfg, outdir, n, seed)
             manifest.derive(f"kappa_n_n{n}_seed{seed}", repr(env.c_n))
             rates = ambient_rates(env, cfg.L_max)
-            # replica 0 again, recorded: the batch follows the same trajectory
-            first = simulate(rates, cfg.T, seed=seeds[0], cap=cfg.cap, collect_log=True)
+            batch = simulate_replicas(rates, cfg.T, seeds, cfg.L_list, snap_times,
+                                      cap=cfg.cap, record=True)
             lpath = os.path.join(outdir, f"events_n{n}_seed{seed}.bin")
-            write_event_log(first.events, lpath)
+            write_event_log(batch.event_log(), lpath)
             manifest.add_output(lpath)
-            batch = simulate_replicas(rates, cfg.T, seeds, cfg.L_list, snap_times, cap=cfg.cap)
             used = int((~batch.exploded).sum())
             mean_counts = {}
             for L in cfg.L_list:
@@ -343,23 +335,8 @@ COMMANDS = {
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--phi", choices=DISTRIBUTIONS)
-    sub.add_argument("--n-list", dest="n_list")
-    sub.add_argument("--L-list", dest="L_list")
-    sub.add_argument("--L-max", dest="L_max", type=int)
-    sub.add_argument("--seeds")
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--T", type=float)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--replicas", type=int)
-    sub.add_argument("--cap", type=int)
-    sub.add_argument("--amp", type=float)
-    sub.add_argument("--seed-base", dest="seed_base", type=int)
-    sub.add_argument("--zero-potential", dest="zero_potential", type=int)
+    for key in _CASTS:
+        sub.add_argument("--" + key.replace("_", "-"), help=f"config key {key}")
 
 
 def main(argv=None) -> int:

@@ -185,19 +185,18 @@ def build_X(noise: NoiseRealization, chi: MultiplierSpec | None = None) -> Field
     if chi is None:
         chi = default_cutoff()
     spec = noise.spec
-    c = forward_transform(noise.field, "neumann")
-    kk = frequency_grid(spec, "neumann")
-    lt = -laplacian_symbol(kk, spec.n)
-    chi_vals = chi(kk)
     if abs(float(chi(np.zeros((1, spec.d)))[0])) > 0:
         raise ValueError("cut-off must vanish at k = 0")
-    chi_xi = chi_vals * c.coeffs  # the coefficients of chi(D) xi
-    coeffs = np.zeros_like(chi_xi)
-    mask = lt > 0
-    coeffs[mask] = chi_xi[mask] / lt[mask]
-    # the survey solves beside a live partition (one per lattice): drop the
-    # mode-grid arrays before the transforms and the residual check
-    del c, kk, lt, chi_vals, mask
+    # the survey solves beside a live partition (one per lattice): each
+    # mode-grid array is dropped as soon as it is used
+    kk = frequency_grid(spec, "neumann")
+    chi_vals = chi(kk)
+    lt = -laplacian_symbol(kk, spec.n)
+    del kk
+    chi_xi = chi_vals * forward_transform(noise.field, "neumann").coeffs  # chi(D) xi
+    del chi_vals
+    coeffs = np.divide(chi_xi, lt, out=np.zeros_like(chi_xi), where=lt > 0)
+    del lt
     X = inverse_transform(SpectrumCoeffs(spec, "neumann", coeffs))
     del coeffs
     rhs = inverse_transform(SpectrumCoeffs(spec, "neumann", chi_xi))
@@ -364,6 +363,7 @@ def _survey_row(noise: NoiseRealization, chi: MultiplierSpec, kappa: float,
         "resonant_renorm": nan,
         "resonant_raw": nan,
     }
+    del stats  # not alive beside the blocks of X and xi
     xi_params = BesovParams(alpha - 2, flavor="neumann")
     if spec.d == 1:
         row["xi_neg_reg"] = besov_norm(noise.field, xi_params, part)

@@ -3,7 +3,10 @@
 Text dumps use ``repr`` for floats (shortest round-trip representation), so
 reading a dump back reproduces the array bit for bit.  Field dumps, and
 each field block of an environment archive, start with the ``n,L,d,flavor``
-header line.
+header line and list every site index exactly once.  Both are written and
+read by one block writer and one block reader, and a file that breaks the
+format (cut short, a repeated index, a stray line, a block of another
+lattice, an archive without ``[xi]``) raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -16,30 +19,47 @@ from .lattice import Field, LatticeSpec
 _ENV_MAGIC = "pamlab-env-v1"
 
 
-def _header(spec: LatticeSpec, flavor: str) -> str:
-    return f"{spec.n},{spec.L},{spec.d},{flavor}"
+def _block_lines(spec: LatticeSpec, flavor: str, values: np.ndarray) -> list:
+    """A field block: the ``n,L,d,flavor`` header, then ``index,value`` rows."""
+    return ([f"{spec.n},{spec.L},{spec.d},{flavor}"]
+            + [f"{i},{float(v)!r}" for i, v in enumerate(values.ravel())])
 
 
-def _parse_header(line: str, centered: bool = True):
-    n, L, d, flavor = line.strip().split(",")
-    return LatticeSpec(n=int(n), L=int(L), d=int(d), centered=centered), flavor
+def _read_block(lines: list, path, spec: LatticeSpec | None = None):
+    """(spec, flavor, values) of ``_block_lines`` output; the header must name
+    ``spec`` if given, and each site index must appear exactly once."""
+    try:
+        n, L, d, flavor = lines[0].split(",")
+        got = LatticeSpec(n=int(n), L=int(L), d=int(d))
+        rows = [line.split(",") for line in lines[1:]]
+        idx = np.array([int(i) for i, _ in rows], dtype=np.intp)
+        vals = np.array([float(v) for _, v in rows])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"malformed field block in {path}: {exc}") from None
+    if spec is not None and got != spec:
+        raise ValueError(f"field block in {path} has header {lines[0]!r}; the archive "
+                         f"is n={spec.n}, L={spec.L}, d={spec.d}")
+    S = got.site_count
+    if idx.size != S or not np.array_equal(np.sort(idx), np.arange(S)):
+        raise ValueError(f"field block in {path} has {idx.size} rows; it needs each "
+                         f"site index 0..{S - 1} exactly once")
+    values = np.empty(S)
+    values[idx] = vals
+    return got, flavor, values.reshape(got.shape)
 
 
 def write_field_text(field: Field, path, flavor: str = "none") -> None:
     with open(path, "w") as fh:
-        fh.write(_header(field.spec, flavor) + "\n")
-        for i, v in enumerate(field.values.ravel()):
-            fh.write(f"{i},{float(v)!r}\n")
+        fh.write("\n".join(_block_lines(field.spec, flavor, field.values)) + "\n")
 
 
 def read_field_text(path):
     with open(path) as fh:
-        spec, flavor = _parse_header(fh.readline())
-        vals = np.empty(spec.site_count)
-        for line in fh:
-            idx, val = line.split(",")
-            vals[int(idx)] = float(val)
-    return Field(spec, vals.reshape(spec.shape)), flavor
+        spec, flavor, values = _read_block(fh.read().splitlines(), path)
+    return Field(spec, values), flavor
+
+
+_ENV_BLOCKS = ("xi", "X", "resonant_renormalized")
 
 
 def write_environment(env, path) -> None:
@@ -53,52 +73,43 @@ def write_environment(env, path) -> None:
             f"kappa_n={env.kappa_n!r},c_n={env.c_n!r},nu={env.nu!r}"
         ),
     ]
-
-    def block(name, values):
-        lines.append(f"[{name}]")
-        lines.append(_header(noise.spec, "neumann"))
-        for i, v in enumerate(values.ravel()):
-            lines.append(f"{i},{float(v)!r}")
-
-    block("xi", noise.values)
-    if env.X is not None:
-        block("X", env.X.values)
-    if env.resonant_renormalized is not None:
-        block("resonant_renormalized", env.resonant_renormalized.values)
+    for name, f in zip(_ENV_BLOCKS, (noise, env.X, env.resonant_renormalized)):
+        if f is not None:
+            lines.append(f"[{name}]")
+            lines += _block_lines(noise.spec, "neumann", f.values)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_environment(path):
+    """Read an archive back, checking every block against the header line."""
     from .environment import EnhancedEnvironment, NoiseRealization
 
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if lines[0] != _ENV_MAGIC:
+    if not lines or lines[0] != _ENV_MAGIC:
         raise ValueError(f"not an environment archive: {path}")
-    meta = dict(kv.split("=", 1) for kv in lines[1].split(","))
-    spec = LatticeSpec(n=int(meta["n"]), L=int(meta["L"]), d=int(meta["d"]), centered=True)
+    try:
+        meta = dict(kv.split("=", 1) for kv in lines[1].split(","))
+        spec = LatticeSpec(n=int(meta["n"]), L=int(meta["L"]), d=int(meta["d"]))
+        seed, phi = int(meta["seed"]), meta["phi"]
+        consts = {k: float(meta[k]) for k in ("kappa_n", "c_n", "nu")}
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"malformed archive header in {path}: {exc!r}") from None
+    starts = [i for i, line in enumerate(lines) if line.startswith("[")]
+    if (starts[0] if starts else len(lines)) != 2:
+        raise ValueError(f"archive {path} has a line outside any field block")
     blocks = {}
-    name = None
-    for line in lines[2:]:
-        if line.startswith("["):
-            name = line.strip("[]")
-            blocks[name] = np.empty(spec.site_count)
-            skip_header = True
-            continue
-        if skip_header:
-            skip_header = False
-            continue
-        idx, val = line.split(",")
-        blocks[name][int(idx)] = float(val)
-    noise = NoiseRealization(spec, blocks["xi"].reshape(spec.shape),
-                             int(meta["seed"]), meta["phi"])
-    X = Field(spec, blocks["X"].reshape(spec.shape)) if "X" in blocks else None
-    res = (Field(spec, blocks["resonant_renormalized"].reshape(spec.shape))
-           if "resonant_renormalized" in blocks else None)
-    return EnhancedEnvironment(
-        noise, X, res,
-        kappa_n=float(meta["kappa_n"]), c_n=float(meta["c_n"]), nu=float(meta["nu"]))
+    for a, b in zip(starts, starts[1:] + [len(lines)]):
+        name = lines[a].strip("[]")
+        if name not in _ENV_BLOCKS or name in blocks:
+            raise ValueError(f"archive {path} has an unknown or repeated block {lines[a]!r}")
+        blocks[name] = Field(spec, _read_block(lines[a + 1:b], path, spec)[2])
+    if "xi" not in blocks:
+        raise ValueError(f"archive {path} has no [xi] block")
+    noise = NoiseRealization(spec, blocks["xi"].values, seed, phi)
+    return EnhancedEnvironment(noise, blocks.get("X"), blocks.get("resonant_renormalized"),
+                               **consts)
 
 
 NORM_REPORT_COLUMNS = ("quantity", "n", "L", "alpha", "p", "q", "flavor", "value", "seed")

@@ -7,6 +7,7 @@ import pytest
 from pamlab.besov import (
     BesovParams,
     _norms_with_constant,
+    _radial_bump,
     TimeWeightedNormParams,
     all_blocks,
     all_blocks_torus,
@@ -27,7 +28,12 @@ from pamlab.besov import (
 )
 from pamlab.environment import NoiseSpec, enhance, sample_noise
 from pamlab.lattice import Field, LatticeSpec, extend, odd_extension
-from pamlab.spectral import basis_field, laplacian_symbol, torus_frequency_grid
+from pamlab.spectral import (
+    basis_field,
+    frequency_grid,
+    laplacian_symbol,
+    torus_frequency_grid,
+)
 
 
 def rand_field(spec, seed=0, dirichlet=False):
@@ -102,6 +108,21 @@ class TestPartition:
         for got, want in zip(part.symbols, oracle):
             assert got.shape == (spec.L * spec.n + 1,) * d
             assert np.array_equal(got[np.ix_(*[fold] * d)], want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_running_sum_equals_stacked_sum(self, d):
+        # the symbols are summed as they are made; the tail must still be
+        # 1 minus np.sum of the stacked list, bit for bit
+        for n in (3, 8, 16, 32, 64, 128, 256):
+            spec = LatticeSpec(n=n, L=2, d=d)
+            part = build_partition(spec)
+            r = np.linalg.norm(frequency_grid(spec, "neumann"), axis=-1)
+            bumps = [_radial_bump(r / 2.0 ** j) for j in range(part.j_n + 1)]
+            want = [bumps[0]] + [hi - lo for lo, hi in zip(bumps, bumps[1:])]
+            want.append(1.0 - np.sum(want, axis=0))
+            assert len(part.symbols) == len(want)
+            for got, ref in zip(part.symbols, want):
+                assert np.array_equal(got, ref)
 
     def test_tail_index_increments_with_doubling(self):
         js = [tail_index(LatticeSpec(n=n, L=2, d=2)) for n in (4, 8, 16, 32)]

@@ -48,21 +48,21 @@ class TestDeterminism:
     def test_same_seed_identical_log(self):
         env = build_environment(8, 2, 1, "gaussian", 5)
         rates = ambient_rates(env, 4)
-        a = simulate(rates, 0.05, seed=7, collect_log=True)
-        b = simulate(rates, 0.05, seed=7, collect_log=True)
+        a = simulate(rates, 0.05, seed=7)
+        b = simulate(rates, 0.05, seed=7)
         assert a.events == b.events
         assert [p.path_times for p in a.particles] == [p.path_times for p in b.particles]
 
     def test_different_seed_differs(self):
         env = build_environment(8, 2, 1, "gaussian", 5)
         rates = ambient_rates(env, 4)
-        a = simulate(rates, 0.05, seed=1, collect_log=True)
-        b = simulate(rates, 0.05, seed=2, collect_log=True)
+        a = simulate(rates, 0.05, seed=1)
+        b = simulate(rates, 0.05, seed=2)
         assert a.events != b.events
 
     def test_event_log_round_trip(self, tmp_path):
         env = build_environment(8, 2, 1, "gaussian", 5)
-        res = simulate(ambient_rates(env, 4), 0.05, seed=3, collect_log=True)
+        res = simulate(ambient_rates(env, 4), 0.05, seed=3)
         path = tmp_path / "events.bin"
         write_event_log(res.events, path)
         back = read_event_log(path)
@@ -408,9 +408,37 @@ class TestLockstepEngine:
                 for ti in range(len(times)):
                     assert alone_counts.get((0, ti)) == big_counts[L].get((i, ti))
 
+    @pytest.mark.parametrize("n,d,env_seed,L_max,T,Ls", CASES)
+    def test_recorded_replica_log_equals_simulate(self, n, d, env_seed, L_max, T, Ls):
+        rates = ambient_rates(build_environment(n, 2, d, "gaussian", env_seed), L_max)
+        seeds = list(range(40, 72))
+        batch = simulate_replicas(rates, T, seeds, Ls, [0.0, T], record=True)
+        log = batch.event_log()
+        assert log and log == simulate(rates, T, seed=seeds[0]).events
+
+    @pytest.mark.parametrize("n,d,env_seed,L_max,T,Ls", CASES)
+    def test_recording_leaves_folded_observables_unchanged(self, n, d, env_seed, L_max,
+                                                           T, Ls):
+        rates = ambient_rates(build_environment(n, 2, d, "gaussian", env_seed), L_max)
+        funcs = {"one": np.ones(rates.spec.shape)}
+        args = (rates, T, range(30), Ls, [0.0, T / 2, T], funcs)
+        plain = simulate_replicas(*args)
+        recorded = simulate_replicas(*args, record=True)
+        assert np.array_equal(plain.exploded, recorded.exploded)
+        for L in Ls:
+            for a, b in zip(plain.occupation[L], recorded.occupation[L]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(plain.sup_total_mass(L), recorded.sup_total_mass(L))
+            assert np.array_equal(plain.integrals[(L, "one")], recorded.integrals[(L, "one")])
+
+    def test_unrecorded_batch_has_no_event_log(self):
+        rates = ambient_rates(build_environment(8, 2, 1, "gaussian", 5), 4)
+        with pytest.raises(ValueError, match="record"):
+            simulate_replicas(rates, 0.05, [1, 2]).event_log()
+
     def test_event_log_sorted_with_ids_in_birth_order(self):
         rates = ambient_rates(build_environment(16, 2, 1, "gaussian", 3), 4)
-        res = simulate(rates, 0.3, seed=5, collect_log=True)
+        res = simulate(rates, 0.3, seed=5)
         times = [e[0] for e in res.events]
         assert times == sorted(times)
         births = [p.birth for p in res.particles]

@@ -56,6 +56,67 @@ class TestEnvironmentArchive:
             assert back.X is None and back.resonant_renormalized is None
 
 
+class TestMalformedDumps:
+    def write_env(self, tmp_path, d=2):
+        path = tmp_path / "env.txt"
+        pio.write_environment(build_environment(4, 2, d, "gaussian", 11), path)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_field_dump(self, tmp_path):
+        spec = LatticeSpec(n=4, L=2, d=1)
+        path = tmp_path / "f.txt"
+        pio.write_field_text(Field(spec, np.arange(1.0, spec.site_count + 1)), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:-2]) + "\n")
+        with pytest.raises(ValueError, match="f.txt"):
+            pio.read_field_text(path)
+
+    def test_duplicate_index_in_field_dump(self, tmp_path):
+        path = tmp_path / "f.txt"
+        pio.write_field_text(rand_field(LatticeSpec(n=4, L=2, d=2)), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "0," + lines[2].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            pio.read_field_text(path)
+
+    def test_truncated_archive(self, tmp_path):
+        path, lines = self.write_env(tmp_path)
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(ValueError, match="env.txt"):
+            pio.read_environment(path)
+
+    def test_stray_line_before_first_block(self, tmp_path):
+        path, lines = self.write_env(tmp_path)
+        path.write_text("\n".join(lines[:2] + ["0,1.0"] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match="outside any field block"):
+            pio.read_environment(path)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_archive_without_xi(self, tmp_path, d):
+        path, lines = self.write_env(tmp_path, d)
+        rest = [i for i, line in enumerate(lines) if line.startswith("[")][1:]
+        end = rest[0] if rest else len(lines)
+        path.write_text("\n".join(lines[:2] + lines[end:]) + "\n")
+        with pytest.raises(ValueError, match=r"no \[xi\]"):
+            pio.read_environment(path)
+
+    def test_block_header_of_another_n(self, tmp_path):
+        path, lines = self.write_env(tmp_path)
+        at = lines.index("[X]") + 1
+        assert lines[at] == "4,2,2,neumann"
+        lines[at] = "8,2,2,neumann"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="'8,2,2,neumann'"):
+            pio.read_environment(path)
+
+    def test_written_bytes_unchanged(self, tmp_path):
+        # the format the readers check: header, then one index,repr row per site
+        spec = LatticeSpec(n=1, L=2, d=1)
+        path = tmp_path / "f.txt"
+        pio.write_field_text(Field(spec, np.array([0.5, -1.0, 3.0])), path, "dirichlet")
+        assert path.read_text() == "1,2,1,dirichlet\n0,0.5\n1,-1.0\n2,3.0\n"
+
+
 class TestConfigParsing:
     def test_basic_parse_and_defaults(self):
         cfg = parse_config_text("d=2\nn_list=8,16\nseeds=1,2\n")
@@ -79,6 +140,41 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# comment\nd=1\n\nn_list=8 # inline\nseeds=3\n")
         assert cfg.n_list == [8] and cfg.seeds == [3]
+
+    def test_flags_mirror_config_keys(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from pamlab import cli
+
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "solve", lambda cfg, out: seen.append(cfg) or 0)
+        text = ("d=2\nn_list=4,8\nseeds=3\nphi=uniform\nL_list=2,4\nL_max=6\n"
+                "alpha=0.7\neps=0.2\np=2\nq=inf\nT=0.1\ndt=0.002\nreplicas=9\n"
+                "cap=50\namp=0.3\nseed_base=5\nzero_potential=1\n")
+        argv = ["solve", "--out", str(tmp_path)]
+        for line in text.splitlines():
+            key, val = line.split("=")
+            argv += ["--" + key.replace("_", "-"), val]
+        assert {f.name for f in dataclasses.fields(cli.RunConfig)} == {
+            line.split("=")[0] for line in text.splitlines()}
+        assert main(argv) == 0
+        assert seen == [parse_config_text(text)]
+
+    def test_malformed_flag_fails_before_work(self, tmp_path):
+        out = tmp_path / "out"
+        for bad in (["--d", "two"], ["--T", "soon"], ["--n-list", "4,x"],
+                    ["--phi", "cauchy"]):
+            with pytest.raises(ValueError):
+                main(["gen-env", "--out", str(out), "--d", "1", "--n-list", "4",
+                      "--seeds", "1", *bad])
+            assert not out.exists()
+
+    def test_hash_is_the_report_scheme(self):
+        from pamlab import verify
+
+        cfg = parse_config_text("d=2\nn_list=8\nseeds=1\n")
+        assert cfg.config_hash() == verify.config_hash(**cfg.resolved())
+        assert len(cfg.config_hash()) == 16
 
     def test_hash_covers_defaults(self):
         a = parse_config_text("d=2\nn_list=8\nseeds=1\n")
@@ -157,6 +253,28 @@ class TestCommands:
         csv_lines = (tmp_path / "measures_n4_seed1.csv").read_text().splitlines()
         assert csv_lines[0] == "t,L,site,mass"
         assert len(csv_lines) > 1
+
+    def test_simulate_runs_each_replica_once(self, tmp_path, monkeypatch):
+        from pamlab import branching
+
+        calls = []
+        engine = branching._advance
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("record", args[7] if len(args) > 7 else False))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(branching, "_advance", counting)
+        cfg = parse_config_text(
+            "d=1\nn_list=4,8\nseeds=1,2\nT=0.05\nreplicas=6\nseed_base=3\n"
+            "L_list=2\nL_max=4\n")
+        assert cmd_simulate(cfg, str(tmp_path)) == 0
+        assert calls == [True] * 4
+        monkeypatch.setattr(branching, "_advance", engine)
+        env = build_environment(8, 2, 1, "gaussian", 2)
+        first = branching.simulate(branching.ambient_rates(env, 4), 0.05, seed=3)
+        logged = branching.read_event_log(tmp_path / "events_n8_seed2.bin")
+        assert logged and logged == first.events
 
     def test_verify_small_suite_passes(self, tmp_path):
         cfg = parse_config_text(
