@@ -18,10 +18,12 @@ c = expm1(h xi_e) / xi_e otherwise (the dual FKPP equation).
 
 States evolve as contiguous arrays of the (L n - 1)^d interior sites; the
 zero boundary values are added back only when a state is returned.  The
-DST-I normalisation is folded into the diffusion symbols, and adjacent
-half-diffusions of consecutive steps merge into one full diffusion, so a
-step costs two DSTs; the trailing half-diffusion is applied only where a
-state is read out.  A trajectory keeps t = 0, the requested times and T.
+Dirichlet heat flow is a tensor product of one 1-D propagator per axis, so
+up to a measured size a diffusion is d small matrix products, and a DST-I
+pair above it.  Adjacent half-diffusions of consecutive steps merge into
+one full diffusion, so a step costs one diffusion; the trailing
+half-diffusion is applied only where a state is read out.  A trajectory
+keeps t = 0, the requested times and T.
 The dual solve runs its absorbed chain beside the linear comparison chain
 T_t phi0 and checks 0 <= phi <= T_t phi0 where it reads a state out.
 
@@ -32,11 +34,12 @@ scheme that doubles as the convergence oracle for meshes up to n = 16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg import expm
+from scipy.linalg import blas, expm
 
 from .lattice import Field, LatticeSpec
 
@@ -80,10 +83,8 @@ class PamProblem:
     scheme: str = "splitting"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
+        _finite_positive("dt", self.dt)
+        _finite_positive("horizon", self.T)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.w0.is_dirichlet():
@@ -148,29 +149,109 @@ def _absorption(spec: LatticeSpec, nu):
     return float(arr) if arr.ndim == 0 else arr
 
 
+# Largest interior side m = L n - 1, per dimension, at which ``_HeatFlow``
+# applies D(tau) as propagator products (crossover table: ``_StrangStepper``).
+_DENSE_MAX_SIDE = {1: 383, 2: 351}
+
+
+class _HeatFlow:
+    """The Dirichlet heat flow D(tau) = exp(tau n^2 Lap) on interior arrays,
+    for tau = h (``full``) and tau = h/2 (``half``).
+
+    D(tau) is a tensor product of one m x m propagator per axis, m = L n - 1:
+    P_tau = S diag(e^{tau l(k)}) S 2/(m+1), S the DST-I matrix and l the 1-D
+    ``laplacian_symbol``.  Up to ``_DENSE_MAX_SIDE`` the flow is that
+    product, P y at d = 1 and P Y P at d = 2 (P symmetric), through scipy's
+    BLAS: the eigensolver's LAPACK runs on the same library, so the two
+    share one thread pool rather than leaving a second one spinning.  Above
+    the bound it is a DST-I, the symbol divided by the DST-I scale (2 L n)^d,
+    and a DST-I.  The choice is made once from (d, m).
+    """
+
+    def __init__(self, spec: LatticeSpec, h: float):
+        from .spectral import frequency_grid, laplacian_symbol, mode_axis
+
+        m = spec.L * spec.n - 1
+        self.dense = m <= _DENSE_MAX_SIDE[spec.d]
+        if self.dense:
+            l1 = laplacian_symbol(mode_axis(spec, "dirichlet")[:, None] / spec.N, spec.n)
+            basis = sfft.dst(np.eye(m), type=1, axis=0) / (2.0 * spec.L * spec.n)
+
+            def propagator(tau):
+                # S diag(e^{tau l}) S 2/(m+1), made exactly symmetric, in Fortran order
+                p = sfft.dst(basis * np.exp(tau * l1)[:, None], type=1, axis=0)
+                return np.asfortranarray(0.5 * (p + p.T))
+
+            self.full, self.half = propagator(h), propagator(0.5 * h)
+        else:
+            ln = laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n)
+            scale = (2.0 * spec.L * spec.n) ** spec.d
+            self.full = np.exp(h * ln) / scale
+            self.half = np.exp(0.5 * h * ln) / scale
+
+    def diffuse(self, op: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """D(tau) y as a new array, op being ``full`` or ``half``."""
+        if not self.dense:
+            c = sfft.dstn(y, type=1)
+            c *= op
+            return sfft.dstn(c, type=1, overwrite_x=True)
+        if y.ndim == 1:
+            return blas.dgemv(1.0, op, y)
+        # (P Y P)^T = P Y^T P with P symmetric; Y^T is y.T, Fortran-ordered
+        return blas.dgemm(1.0, blas.dgemm(1.0, op, y.T), op).T
+
+
 class _StrangStepper:
     """Strang steps D(h/2) R(h) D(h/2) of one step size h on the interior.
 
-    D is the Dirichlet heat flow, diagonal in the DST-I basis, and R the
-    exact flow of the pointwise reaction dz = xi_e z - nu z^2 over h,
-    z -> z e^{h xi_e} / (1 + nu z c) with c = expm1(h xi_e) / xi_e (c = h
-    where xi_e = 0); nu is a scalar or a box array (``_absorption``).  With
-    nu = 0 everywhere R is the single factor exp(h xi_e).  Both
-    act on contiguous interior arrays.  The diffusion symbols are divided by
-    the DST-I scale (2 L n)^d once, so a diffusion is an unnormalised DST,
-    an in-place product and a DST.
+    D is the Dirichlet heat flow (``_HeatFlow``) and R the exact flow of the
+    pointwise reaction dz = xi_e z - nu z^2 over h, z -> z e^{h xi_e} /
+    (1 + nu z c) with c = expm1(h xi_e) / xi_e (c = h where xi_e = 0); nu is
+    a scalar or a box array (``_absorption``).  With nu = 0 everywhere R is
+    the single factor exp(h xi_e).  Both act on interior arrays, R in place
+    on the new array D returns; steppers of one (spec, h) may share one
+    ``heat``.
 
-    The stepper carries one chain from ``restart(w)``.  It holds the DST
-    coefficients of the *open* state: R applied, the trailing D(h/2) not
-    yet.  ``advance`` merges that pending half-diffusion with the next
-    step's leading one into a single D(h), so a step costs two DSTs;
-    ``state`` closes a copy with D(h/2) (one DST) and leaves the chain as
-    it was.  ``state`` is defined once the chain has advanced.
+    The stepper carries one chain from ``restart(w)`` in real space.  It
+    holds the *open* state y: R applied, the trailing D(h/2) not yet.
+    ``advance`` merges that pending half-diffusion with the next step's
+    leading one, y <- R(D(h) y) (D(h/2) after a restart), so a step is one
+    diffusion; ``state`` closes a copy, D(h/2) y, and leaves the chain as it
+    was.  ``state`` is defined once the chain has advanced.
+
+    One step in microseconds, median of three runs on a two-core x86-64
+    host with OpenBLAS at two threads (one thread in brackets), m interior
+    sites per axis, for D as propagator products and as a DST-I pair:
+
+    =  ====  ===============  ===============
+    d  m     products         DST-I pair
+    =  ====  ===============  ===============
+    1  63    2.4 (1.6)        24 (20)
+    1  127   3.5 (3.5)        24 (21)
+    1  255   11 (11)          25 (23)
+    1  383   23 (25)          26 (35)
+    1  511   64 (57)          41 (29)
+    1  1023  179 (352)        46 (45)
+    2  31    4.2 (4.7)        44 (42)
+    2  63    21 (27)          119 (96)
+    2  127   190 (245)        300 (450)
+    2  255   970 (1330)       1740 (1730)
+    2  351   2000 (3440)      4370 (4700)
+    2  383   3300 (5270)      4000 (5200)
+    2  511   5700 (8400)      7900 (7700)
+    2  767   17400 (29100)    24100 (22200)
+    =  ====  ===============  ===============
+
+    The d = 1 product is a memory-bound matrix-vector product and loses
+    past m ~ 400.  The d = 2 products thread: they win to m ~ 1000 at two
+    threads but only to m ~ 350 at one, so ``_DENSE_MAX_SIDE`` stops there
+    and no size is slower at either setting.  The DST-I cost also depends
+    on the factors of 2 (m + 1): at m = 385 (2 x 193) a d = 1 pair takes
+    69 us, against 41 at m = 511.
     """
 
-    def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float, nu=0.0):
-        from .spectral import frequency_grid, laplacian_symbol
-
+    def __init__(self, spec: LatticeSpec, xi_e: np.ndarray, dt: float, nu=0.0,
+                 heat: _HeatFlow | None = None):
         sl = spec.interior_slices()
         xi = np.asarray(xi_e)[sl]
         nu = _absorption(spec, nu)
@@ -180,17 +261,14 @@ class _StrangStepper:
             c = np.full(xi.shape, dt)
             np.divide(np.expm1(dt * xi), xi, out=c, where=xi != 0.0)
             self.nu_c = (nu if np.ndim(nu) == 0 else nu[sl]) * c
-        ln = laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n)
-        scale = (2.0 * spec.L * spec.n) ** spec.d
-        self.diff_full = np.exp(dt * ln) / scale
-        self.diff_half = np.exp(0.5 * dt * ln) / scale
-        self._coef = None
-        self._pending = None
+        self.heat = _HeatFlow(spec, dt) if heat is None else heat
+        self._y = None
+        self._restarted = False
 
     def restart(self, w: np.ndarray) -> None:
-        """Start the chain from the closed interior state w."""
-        self._coef = sfft.dstn(w, type=1)
-        self._pending = self.diff_half
+        """Start the chain from the closed interior state w (not modified)."""
+        self._y = w
+        self._restarted = True
 
     def react(self, y: np.ndarray) -> None:
         """R(h) in place on the interior values y."""
@@ -204,15 +282,15 @@ class _StrangStepper:
 
     def advance(self) -> None:
         """One step: the pending diffusion, then R(h)."""
-        self._coef *= self._pending
-        y = sfft.dstn(self._coef, type=1, overwrite_x=True)
+        heat = self.heat
+        y = heat.diffuse(heat.half if self._restarted else heat.full, self._y)
         self.react(y)
-        self._coef = sfft.dstn(y, type=1)
-        self._pending = self.diff_full
+        self._y = y
+        self._restarted = False
 
     def state(self) -> np.ndarray:
         """The closed state: the open one diffused by D(h/2)."""
-        return sfft.dstn(self._coef * self.diff_half, type=1, overwrite_x=True)
+        return self.heat.diffuse(self.heat.half, self._y)
 
 
 def hamiltonian(env):
@@ -236,7 +314,16 @@ def dense_hamiltonian(env) -> np.ndarray:
     return hamiltonian(env).toarray()
 
 
+def _finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _step_count(T: float, dt: float) -> int:
+    """T / dt as a step count; a non-finite or non-positive T or dt, or a T
+    off the dt grid, raises ``ValueError``."""
+    _finite_positive("horizon", T)
+    _finite_positive("dt", dt)
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"horizon {T} is not an integer multiple of dt {dt}")
@@ -291,9 +378,9 @@ def solve_linear_pam(problem: PamProblem, store_times=None) -> Trajectory:
     The trajectory holds t = 0, each of ``store_times`` and the horizon T;
     a store time off the dt grid or outside [0, T] raises ``ValueError``.
     The splitting runs one chain of merged half-diffusions on the interior
-    (two DSTs per step, the DST-I scale folded into the symbols) and closes
-    a copy of it only at a stored time; a step with forcing closes the
-    chain, adds the forcing and restarts it.
+    (one diffusion per step, ``_HeatFlow``) and closes a copy of it only at
+    a stored time; a step with forcing closes the chain, adds the forcing
+    and restarts it.
     """
     dt = problem.dt
     grid = time_grid(problem.T, dt)
@@ -330,6 +417,8 @@ def semigroup_apply(env, t: float, phi: Field, dt: float = 1e-3) -> Field:
         raise ValueError("negative times are outside the semigroup")
     if t == 0.0:
         return phi.copy()
+    _finite_positive("time t", t)
+    _finite_positive("dt", dt)
     steps = max(1, int(round(t / dt)))
     problem = PamProblem(env, phi, T=t, dt=t / steps)
     return solve_linear_pam(problem).final
@@ -399,10 +488,11 @@ def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,
     """Mild solution of d(phi) = H phi - nu phi^2 with zero boundary data.
 
     One semilinear Strang chain D(h/2) R(h) D(h/2), R the exact flow of
-    dz = xi_e z - nu z^2, with merged half-diffusions (two DSTs per step).
-    For nu > 0 the comparison solution w = T_t phi0 runs beside it as a
-    nu = 0 chain of the same stepper, so a step costs four DSTs.  Both
-    chains are closed only at a stored time and at t; there phi is clipped
+    dz = xi_e z - nu z^2, with merged half-diffusions (one diffusion per
+    step).  For nu > 0 the comparison solution w = T_t phi0 runs beside it
+    as a nu = 0 chain of the same stepper, sharing its propagators, so a
+    step costs two diffusions.  Both chains are closed (one diffusion each)
+    only at a stored time and at t; there phi is clipped
     at zero and the bound phi <= w + 1e-9 max(1, max w) is enforced, with
     ``ArithmeticError`` on a violation.  With nu = 0 the one chain is w, and
     phi is ``semigroup_apply`` clipped at zero, bit for bit.
@@ -410,9 +500,10 @@ def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,
     With ``store_times`` a dict {s: Field} of intermediate states is
     returned (s = 0 maps to a copy of phi0); otherwise the final state.
     nu is a scalar or a box array of site-dependent coefficients.  A store
-    time off the dt grid or outside [0, t], a nu of another shape or with a
-    negative or non-finite entry, or a negative or non-Dirichlet phi0
-    raises ``ValueError``.
+    time off the dt grid or outside [0, t], a non-finite or negative t, a
+    non-finite or non-positive dt, a nu of another shape or with a negative
+    or non-finite entry, or a negative or non-Dirichlet phi0 raises
+    ``ValueError``.
     """
     nu = _absorption(env.spec, nu)
     if float(np.min(phi0.values)) < 0:
@@ -426,7 +517,8 @@ def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,
     steps = _step_count(t, dt)
     sl = spec.interior_slices()
     linear = _StrangStepper(spec, env.xi_e, dt)
-    absorbed = _StrangStepper(spec, env.xi_e, dt, nu) if np.any(nu != 0.0) else None
+    absorbed = (_StrangStepper(spec, env.xi_e, dt, nu, heat=linear.heat)
+                if np.any(nu != 0.0) else None)
     chains = [linear] if absorbed is None else [linear, absorbed]
     for chain in chains:
         chain.restart(phi0.values[sl])

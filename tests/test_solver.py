@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 from scipy.linalg import eigh, expm
 
+from pamlab import solver
 from pamlab.cli import cmd_solve, parse_config_text
 from pamlab.environment import build_environment
 from pamlab.io import read_field_text
 from pamlab.lattice import Field, LatticeSpec
 from pamlab.solver import (
     PamProblem,
+    _HeatFlow,
     _StrangStepper,
     apply_hamiltonian,
     constant_environment,
@@ -78,8 +84,22 @@ def rk4(rhs, z, h, steps):
     return z
 
 
-def assert_close(got, want):
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+def assert_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.fixture
+def diffusions(monkeypatch):
+    """The list to which every ``_HeatFlow.diffuse`` call appends its input."""
+    calls = []
+    diffuse = _HeatFlow.diffuse
+
+    def counting(self, op, y):
+        calls.append(y)
+        return diffuse(self, op, y)
+
+    monkeypatch.setattr(_HeatFlow, "diffuse", counting)
+    return calls
 
 
 class TestProblemValidation:
@@ -452,14 +472,23 @@ class TestDualFkpp:
         with pytest.raises(ValueError, match="nu"):
             _StrangStepper(env.spec, env.xi_e, 1e-3, nu)
 
-    @pytest.mark.parametrize("nu, per_step, per_close", [(0.6, 4, 2), (0.0, 2, 1)])
-    def test_dst_count(self, fft_calls, nu, per_step, per_close):
+    @pytest.mark.parametrize("nu, per_step, per_close", [(0.6, 2, 2), (0.0, 1, 1)])
+    def test_diffusion_count(self, diffusions, nu, per_step, per_close):
         env = build_environment(8, 2, 2, "gaussian", 3)
-        calls = fft_calls("dstn")
         t, dt, store = 0.05, 1e-3, [0.01, 0.03]
         solve_dual_fkpp(env, bump(env.spec), nu, t, dt, store_times=store)
-        steps, k = round(t / dt), len(store)
-        assert len(calls) <= per_step * steps + per_close * (k + 2)
+        closes = len(store) + 1
+        assert len(diffusions) == per_step * round(t / dt) + per_close * closes
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_two_dsts_per_diffusion_past_crossover(self, fft_calls, diffusions, d):
+        spec = LatticeSpec(n=solver._DENSE_MAX_SIDE[d] // 2 + 2, L=2, d=d)
+        assert not _HeatFlow(spec, 1e-4).dense
+        calls = fft_calls("dstn")
+        t, dt = 5e-4, 1e-4
+        solve_dual_fkpp(zero_environment(spec), bump(spec), 0.6, t, dt, store_times=[2e-4])
+        assert len(diffusions) == 2 * round(t / dt) + 2 * 2
+        assert len(calls) == 2 * len(diffusions)
 
     def test_matches_picard_oracle(self):
         # Picard iteration on the mild equation with dense exact propagators
@@ -498,6 +527,101 @@ class TestDualFkpp:
         assert np.array_equal(states[0.0].values, phi0.values)
         final = solve_dual_fkpp(env, phi0, 0.5, 0.2, 1e-3)
         assert np.array_equal(states[0.2].values, final.values)
+
+
+def tridiagonal_laplacian(n, m):
+    """n^2 times the 1-D Dirichlet second difference on m interior sites."""
+    return float(n) ** 2 * (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
+                            + np.diag(np.full(m - 1, 1.0), 1))
+
+
+class TestHeatFlow:
+    @pytest.mark.parametrize("m", [1, 3, 15, 63])
+    def test_propagator_matches_expm(self, m):
+        n = (m + 1) // 2
+        h = 0.5 / n ** 2
+        heat = _HeatFlow(LatticeSpec(n=n, L=2, d=1), h)
+        assert heat.dense
+        A1 = tridiagonal_laplacian(n, m)
+        assert_close(heat.full, expm(h * A1), rel=1e-13)
+        assert_close(heat.half, expm(0.5 * h * A1), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_separable_flow_matches_dense_expm(self, n):
+        spec = LatticeSpec(n=n, L=2, d=2)
+        m = 2 * n - 1
+        h = 0.5 / n ** 2
+        heat = _HeatFlow(spec, h)
+        H = dense_hamiltonian(zero_environment(spec))
+        y = np.random.default_rng(n).random((m, m))
+        for op, tau in ((heat.full, h), (heat.half, 0.5 * h)):
+            assert_close(heat.diffuse(op, y), (expm(tau * H) @ y.ravel()).reshape(m, m))
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (1, 64), (2, 8), (2, 32)])
+    def test_dense_and_dst_flows_agree(self, monkeypatch, d, n):
+        spec = LatticeSpec(n=n, L=2, d=d)
+        h = 1.0 / n ** 2
+        dense = _HeatFlow(spec, h)
+        monkeypatch.setitem(solver._DENSE_MAX_SIDE, d, 0)
+        dst = _HeatFlow(spec, h)
+        assert dense.dense and not dst.dense
+        y = np.random.default_rng(d * n).standard_normal((2 * n - 1,) * d)
+        assert_close(dense.diffuse(dense.full, y), dst.diffuse(dst.full, y))
+        assert_close(dense.diffuse(dense.half, y), dst.diffuse(dst.half, y))
+
+    def test_blas_thread_count_moves_outputs_at_round_off_only(self, tmp_path):
+        # dense products reduce in a thread-dependent order; reruns at one
+        # setting are bit-identical, across settings equal to round-off
+        script = ("import sys, numpy as np\n"
+                  "from pamlab.environment import build_environment\n"
+                  "from pamlab.solver import PamProblem, solve_linear_pam\n"
+                  "from pamlab.verify import smooth_bump\n"
+                  "env = build_environment(64, 2, 2, 'gaussian', 3)\n"
+                  "w0 = smooth_bump(env.spec, 0.5)\n"
+                  "final = solve_linear_pam(PamProblem(env, w0, T=0.05, dt=1e-3)).final\n"
+                  "np.save(sys.argv[1], final.values)\n")
+        src = str(Path(solver.__file__).resolve().parents[1])
+        finals = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"final_{threads}.npy"
+            path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True, timeout=120)
+            finals[threads] = np.load(out)
+        assert _HeatFlow(LatticeSpec(n=64, L=2, d=2), 1e-3).dense
+        assert_close(finals["2"], finals["1"])
+
+
+class TestStepValidation:
+    BAD = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3]
+
+    @pytest.mark.parametrize("field", ["T", "dt"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_linear_pam_rejects(self, field, bad):
+        spec = LatticeSpec(n=4, L=2, d=1)
+        with pytest.raises(ValueError, match="finite and positive, got"):
+            PamProblem(zero_environment(spec), bump(spec), **{"T": 0.1, "dt": 1e-3, field: bad})
+        problem = PamProblem(zero_environment(spec), bump(spec), T=0.1, dt=1e-3)
+        setattr(problem, field, bad)
+        with pytest.raises(ValueError, match=f"finite and positive, got {bad}"):
+            solve_linear_pam(problem)
+
+    @pytest.mark.parametrize("t, dt", [(float("nan"), 1e-3), (float("inf"), 1e-3),
+                                       (0.1, float("nan")), (0.1, float("inf")),
+                                       (0.1, 0.0), (0.1, -1e-3)])
+    def test_semigroup_rejects(self, t, dt):
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        with pytest.raises(ValueError, match="finite and positive, got"):
+            semigroup_apply(env, t, bump(env.spec), dt)
+
+    @pytest.mark.parametrize("t, dt", [(float("nan"), 1e-3), (float("inf"), 1e-3),
+                                       (-0.1, 1e-3), (0.1, float("nan")),
+                                       (0.1, float("inf")), (0.1, 0.0), (0.1, -1e-3)])
+    def test_dual_fkpp_rejects(self, t, dt):
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        with pytest.raises(ValueError, match="finite and positive, got"):
+            solve_dual_fkpp(env, bump(env.spec), 0.5, t, dt)
 
 
 class TestTimeWeightedStability:
