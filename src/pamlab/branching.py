@@ -42,6 +42,7 @@ import numpy as np
 
 from .environment import _GOLDEN, _mix64, _unit_interval
 from .lattice import LatticeSpec
+from .solver import _finite_positive
 
 EVENT_KINDS = ("jump", "branch", "death", "absorbed")
 JUMP, BRANCH, DEATH, ABSORBED = range(4)
@@ -75,8 +76,6 @@ class AmbientRates:
     def __post_init__(self):
         if self.xi_e.shape != self.spec.shape:
             raise ValueError("potential shape does not match the ambient box")
-        if not self.spec.centered:
-            raise ValueError("ambient box must be centered")
 
 
 def ambient_rates(env, L_max: int) -> AmbientRates:
@@ -95,7 +94,7 @@ def ambient_rates(env, L_max: int) -> AmbientRates:
     c_n = getattr(env, "c_n", 0.0)
     if L_max == spec.L:
         return AmbientRates(spec, np.asarray(env.xi_e).copy(), c_n)
-    big = LatticeSpec(n=spec.n, L=L_max, d=spec.d, centered=True)
+    big = LatticeSpec(n=spec.n, L=L_max, d=spec.d)
     if not hasattr(env, "noise"):
         xi = np.asarray(env.xi_e)
         if np.all(xi == xi.flat[0]):
@@ -471,8 +470,10 @@ def simulate_replicas(rates: AmbientRates, horizon: float, seeds, Ls=(),
 
     A replica is exploded when its live population exceeded ``cap`` at some
     time, computed exactly from birth and end times; as a memory bound, one
-    whose births pass ``4 * cap`` is halted and exploded too.
+    whose births pass ``4 * cap`` is halted and exploded too.  A horizon
+    that is not finite and positive raises ``ValueError`` before any draw.
     """
+    _finite_positive("horizon", horizon)
     seeds = [int(s) for s in seeds]
     Ls = _check_boxes(rates.spec, Ls)
     times = sorted(float(s) for s in snapshot_times)

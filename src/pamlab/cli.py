@@ -30,9 +30,13 @@ from .environment import (
     regularity_norm_survey,
     survey_medians,
 )
-from .solver import PamProblem, principal_eigenpair, solve_linear_pam, time_grid
-
-_UNSET = object()
+from .solver import (
+    PamProblem,
+    _finite_positive,
+    principal_eigenpair,
+    solve_linear_pam,
+    time_grid,
+)
 
 
 @dataclass
@@ -45,8 +49,6 @@ class RunConfig:
     L_max: int = 0              # 0 means "max of L_list"
     alpha: float = 0.0          # 0 means the d-dependent default
     eps: float = 0.1
-    p: float = math.inf
-    q: float = math.inf
     T: float = 0.25
     dt: float = 1e-3
     replicas: int = 200
@@ -73,10 +75,13 @@ class RunConfig:
                 raise ValueError(f"L = {L} exceeds L_max = {self.L_max}")
         if self.L_max % 2:
             raise ValueError("L_max must be even")
+        for f in dataclass_fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        _finite_positive("T", self.T)
+        _finite_positive("dt", self.dt)
         if self.alpha == 0.0:
             self.alpha = 0.8 if self.d == 2 else 1.2
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("T and dt must be positive")
         if self.replicas < 1 or self.cap < 1:
             raise ValueError("replicas and cap must be positive")
 
@@ -182,7 +187,7 @@ def _load_or_build_env(cfg: RunConfig, outdir: str, n: int, seed: int,
         from .lattice import LatticeSpec
         from .solver import zero_environment
 
-        return zero_environment(LatticeSpec(n=n, L=L, d=cfg.d, centered=True))
+        return zero_environment(LatticeSpec(n=n, L=L, d=cfg.d))
     path = _env_path(outdir, n, seed)
     if os.path.exists(path):
         env = pio.read_environment(path)

@@ -9,11 +9,13 @@ what lets one environment serve all the coupled boxes downstream.
 
 The enhanced part (d = 2) solves -Lap_neumann X = chi(D) xi in the Neumann
 basis, forms the resonant product X o xi with the dyadic blocks, and
-subtracts the renormalization constant kappa_n.  ``enhance`` and the norm
-survey share one helper that makes the blocks of X and of xi once each and
-streams them through the product; the survey takes the Besov norms of X
-and xi from those same blocks, and both norms of the resonant product
-(with and without kappa_n) from one set of its blocks.
+subtracts the renormalization constant kappa_n.  There is one cut-off chi,
+``spectral.default_cutoff``, fixed as in the construction of the paper; no
+function here takes another.  ``enhance`` and the norm survey share one
+helper that makes the blocks of X and of xi once each and streams them
+through the product; the survey takes the Besov norms of X and xi from
+those same blocks, and both norms of the resonant product (with and
+without kappa_n) from one set of its blocks.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from .besov import (
     _resonant_sum,
     besov_norm,
     build_partition,
-    check_partition,
     lp_norm,
 )
 from .lattice import Field, LatticeSpec
 from .spectral import (
-    MultiplierSpec,
     SpectrumCoeffs,
     apply_laplacian,
     default_cutoff,
@@ -155,13 +155,11 @@ class NoiseRealization:
 def global_site_coords(spec: LatticeSpec):
     """Integer coordinates of the box sites on the infinite lattice.
 
-    Centered boxes key by i - Ln/2 per axis so that all box sizes with the
-    same seed agree on shared sites.
+    Boxes are centered, so sites key by i - Ln/2 per axis and all box sizes
+    with the same seed agree on shared sites.
     """
     P = spec.L * spec.n
-    axis = np.arange(P + 1)
-    if spec.centered:
-        axis = axis - P // 2
+    axis = np.arange(P + 1) - P // 2
     if spec.d == 1:
         return (axis,)
     return (axis[:, None], axis[None, :])
@@ -176,21 +174,17 @@ def sample_noise(ns: NoiseSpec) -> NoiseRealization:
     return NoiseRealization(spec, values, ns.seed, ns.distribution)
 
 
-def build_X(noise: NoiseRealization, chi: MultiplierSpec | None = None) -> Field:
+def build_X(noise: NoiseRealization) -> Field:
     """Solve -Lap_neumann X = chi(D) xi; spectral diagonal solve.
 
     The cut-off vanishes at k = 0 which removes the kernel of the Laplacian;
     the residual is checked against the stated bound before returning.
     """
-    if chi is None:
-        chi = default_cutoff()
     spec = noise.spec
-    if abs(float(chi(np.zeros((1, spec.d)))[0])) > 0:
-        raise ValueError("cut-off must vanish at k = 0")
     # the survey solves beside a live partition (one per lattice): each
     # mode-grid array is dropped as soon as it is used
     kk = frequency_grid(spec, "neumann")
-    chi_vals = chi(kk)
+    chi_vals = default_cutoff()(kk)
     lt = -laplacian_symbol(kk, spec.n)
     del kk
     chi_xi = chi_vals * forward_transform(noise.field, "neumann").coeffs  # chi(D) xi
@@ -235,7 +229,7 @@ class EnhancedEnvironment:
         return self.noise.values - self.c_n
 
 
-def _enhanced_fields(noise: NoiseRealization, chi: MultiplierSpec, kappa: float,
+def _enhanced_fields(noise: NoiseRealization, kappa: float,
                      partition: DyadicPartition | None,
                      xi_params: BesovParams | None = None,
                      X_params: BesovParams | None = None) -> tuple:
@@ -248,7 +242,7 @@ def _enhanced_fields(noise: NoiseRealization, chi: MultiplierSpec, kappa: float,
     otherwise).
     """
     spec = noise.spec
-    X = build_X(noise, chi)
+    X = build_X(noise)
     part = _partition_for(spec, partition)
     xi_terms, X_terms = [], []
     blocks_X = _box_blocks(X, "neumann", part.symbols)
@@ -262,26 +256,21 @@ def _enhanced_fields(noise: NoiseRealization, chi: MultiplierSpec, kappa: float,
     return X, Field(spec, renormalized), xi_terms, X_terms
 
 
-def enhance(noise: NoiseRealization, chi: MultiplierSpec | None = None,
-            partition: DyadicPartition | None = None) -> EnhancedEnvironment:
+def enhance(noise: NoiseRealization) -> EnhancedEnvironment:
     spec = noise.spec
-    if partition is not None:
-        check_partition(partition, spec)
     nu = nu_closed_form(noise.distribution)
     if spec.d == 1:
         return EnhancedEnvironment(noise, None, None, 0.0, 0.0, nu)
-    if chi is None:
-        chi = default_cutoff()
-    kappa = renormalization_constant(spec, chi)
-    X, renormalized, _, _ = _enhanced_fields(noise, chi, kappa, partition)
+    kappa = renormalization_constant(spec)
+    X, renormalized, _, _ = _enhanced_fields(noise, kappa, None)
     return EnhancedEnvironment(noise, X, renormalized, kappa, kappa, nu)
 
 
-def build_environment(n: int, L: int, d: int, distribution: str, seed: int,
-                      chi: MultiplierSpec | None = None) -> EnhancedEnvironment:
-    """Sample and enhance in one call (centered box)."""
-    spec = LatticeSpec(n=n, L=L, d=d, centered=True)
-    return enhance(sample_noise(NoiseSpec(distribution, seed, spec)), chi)
+def build_environment(n: int, L: int, d: int, distribution: str,
+                      seed: int) -> EnhancedEnvironment:
+    """Sample and enhance in one call."""
+    spec = LatticeSpec(n=n, L=L, d=d)
+    return enhance(sample_noise(NoiseSpec(distribution, seed, spec)))
 
 
 @dataclass
@@ -308,8 +297,7 @@ def alpha_window(d: int) -> tuple:
 
 
 def regularity_norm_survey(n_list, seeds, alpha: float, eps: float, L: int = 2,
-                      d: int = 2, distribution: str = "gaussian",
-                      chi: MultiplierSpec | None = None) -> list:
+                      d: int = 2, distribution: str = "gaussian") -> list:
     """Per-(n, seed) table of the stochastic-estimate norms.
 
     Returns a list of dicts keyed n, seed, alpha, eps, kappa_n and the
@@ -332,21 +320,19 @@ def regularity_norm_survey(n_list, seeds, alpha: float, eps: float, L: int = 2,
         warnings.warn(
             f"alpha = {alpha} outside the window ({lo}, {hi}) for d = {d}; "
             "norms computed anyway", stacklevel=2)
-    if chi is None:
-        chi = default_cutoff()
     rows = []
     for n in n_list:
-        spec = LatticeSpec(n=n, L=L, d=d, centered=True)
+        spec = LatticeSpec(n=n, L=L, d=d)
         part = build_partition(spec)
-        kappa = renormalization_constant(spec, chi) if d == 2 else 0.0
+        kappa = renormalization_constant(spec) if d == 2 else 0.0
         for seed in seeds:
             noise = sample_noise(NoiseSpec(distribution, seed, spec))
-            rows.append(_survey_row(noise, chi, kappa, part, alpha, eps))
+            rows.append(_survey_row(noise, kappa, part, alpha, eps))
     return rows
 
 
-def _survey_row(noise: NoiseRealization, chi: MultiplierSpec, kappa: float,
-                part: DyadicPartition, alpha: float, eps: float) -> dict:
+def _survey_row(noise: NoiseRealization, kappa: float, part: DyadicPartition,
+                alpha: float, eps: float) -> dict:
     spec = noise.spec
     nan = float("nan")
     stats = positive_part_statistics(noise)
@@ -370,7 +356,7 @@ def _survey_row(noise: NoiseRealization, chi: MultiplierSpec, kappa: float,
         return row
     X_params = BesovParams(alpha, flavor="neumann")
     _, renormalized, xi_terms, X_terms = _enhanced_fields(
-        noise, chi, kappa, part, xi_params, X_params)
+        noise, kappa, part, xi_params, X_params)
     row["xi_neg_reg"] = _lq_norm(xi_terms, xi_params.q)
     row["X_reg"] = _lq_norm(X_terms, X_params.q)
     row["resonant_renorm"], row["resonant_raw"] = _norms_with_constant(

@@ -1,11 +1,13 @@
 """Finite box lattices, their double-size tori, and reflection extensions.
 
-The box lattice has ``L*n + 1`` sites per axis at spacing ``1/n``; the torus
-has ``2*L*n`` sites per axis with opposite faces identified.  Dirichlet and
-Neumann boundary conditions are encoded by extending box fields to the torus
-in an odd or even fashion about the two reflection hyperplanes per axis
-(``x = 0`` and ``x = L`` in corner coordinates).  All index arithmetic is done
-on integer multi-indices; coordinates are derived values.
+There is one geometry: the centered box ``[-L/2, L/2]^d`` with ``L*n + 1``
+sites per axis at spacing ``1/n``, which contains the origin as a site.  The
+torus has ``2*L*n`` sites per axis with opposite faces identified.  Dirichlet
+and Neumann boundary conditions are encoded by extending box fields to the
+torus in an odd or even fashion about the two reflection hyperplanes per
+axis, the faces ``x = -L/2`` and ``x = L/2`` (``0`` and ``L`` in the corner
+coordinates that indexing uses).  All index arithmetic is done on integer
+multi-indices; coordinates are derived values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ FLAVORS = ("dirichlet", "neumann")
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Geometry parameters shared by every lattice object.
+    """Geometry of the centered box ``[-L/2, L/2]^d``, shared by every
+    lattice object.
+
+    Physical coordinates are centered; indexing, extensions and spectral
+    formulas use the corner coordinates ``[0, L]^d`` internally.
 
     Parameters
     ----------
@@ -30,16 +36,11 @@ class LatticeSpec:
         faces and contains the origin as a site.
     d : int
         Spatial dimension, 1 or 2.
-    centered : bool
-        If set, box coordinates run over ``[-L/2, L/2]^d``; otherwise
-        ``[0, L]^d``.  Only coordinate values change: indexing, extensions
-        and spectral formulas always use corner coordinates internally.
     """
 
     n: int
     L: int
     d: int = 1
-    centered: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
@@ -76,20 +77,15 @@ class LatticeSpec:
 
     @property
     def origin_index(self) -> tuple:
-        """Multi-index of the coordinate origin (centered boxes only)."""
-        if not self.centered:
-            return (0,) * self.d
+        """Multi-index of the coordinate origin, the center of the box."""
         return (self.L * self.n // 2,) * self.d
 
     def axis_coords(self) -> np.ndarray:
-        """Physical coordinates of the sites along one axis."""
-        x = np.arange(self.box_sites_per_axis) / self.n
-        if self.centered:
-            x = x - self.L / 2
-        return x
+        """Physical (centered) coordinates of the sites along one axis."""
+        return np.arange(self.box_sites_per_axis) / self.n - self.L / 2
 
     def axis_corner_coords(self) -> np.ndarray:
-        """Corner coordinates (always [0, L]) regardless of `centered`."""
+        """Corner coordinates, in [0, L]."""
         return np.arange(self.box_sites_per_axis) / self.n
 
     def boundary_mask(self) -> np.ndarray:
@@ -129,10 +125,9 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.spec, self.values.copy())
 
-    def is_dirichlet(self, tol: float = 0.0) -> bool:
+    def is_dirichlet(self) -> bool:
         """True when the field vanishes on all boundary sites."""
-        b = np.abs(self.values[self.spec.boundary_mask()])
-        return bool(b.size == 0 or b.max() <= tol)
+        return not np.any(self.values[self.spec.boundary_mask()])
 
 
 @dataclass

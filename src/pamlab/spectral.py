@@ -14,6 +14,9 @@ reason.  With these conventions both bases are exactly orthonormal for the
 pairing ``2^{-d} <ext(u), ext(w)>_{L^2(torus)}`` (normalized counting
 measure ``n^{-d} sum``), and the fast DST-I/DCT-I routes below reproduce the
 dense transforms to machine precision.
+
+There is one cut-off chi, ``default_cutoff``: the enhancement and the
+renormalization constant use it and take no other.
 """
 
 from __future__ import annotations
@@ -27,22 +30,6 @@ from scipy import fft as sfft
 from .lattice import Field, LatticeSpec, TorusField, reflection_multiplicities
 
 _EVEN_CHECK_POINTS = 24
-
-
-@dataclass(frozen=True)
-class DualIndex:
-    """A single frequency k (d-vector of multiples of 1/N) with its flavor."""
-
-    k: tuple
-    flavor: str
-
-    def as_modes(self, spec: LatticeSpec) -> tuple:
-        """Integer mode multi-index m = N*k."""
-        m = tuple(int(round(ki * spec.N)) for ki in self.k)
-        for ki, mi in zip(self.k, m):
-            if abs(mi - ki * spec.N) > 1e-9:
-                raise ValueError(f"frequency {ki} is not a multiple of 1/N")
-        return m
 
 
 @dataclass
@@ -73,7 +60,7 @@ class MultiplierSpec:
     def __call__(self, k: np.ndarray) -> np.ndarray:
         return np.asarray(self.symbol(np.asarray(k, dtype=np.float64)), dtype=np.float64)
 
-    def check_even(self, spec: LatticeSpec, rtol: float = 1e-12) -> None:
+    def check_even(self, spec: LatticeSpec) -> None:
         """Reject symbols that are not even under per-axis sign flips."""
         rng = np.random.default_rng(12345)
         mmax = spec.L * spec.n
@@ -83,7 +70,7 @@ class MultiplierSpec:
         for axes in range(1, 2 ** spec.d):
             q = np.array([-1.0 if (axes >> a) & 1 else 1.0 for a in range(spec.d)])
             flipped = self(k * q)
-            if not np.allclose(base, flipped, rtol=rtol, atol=1e-14):
+            if not np.allclose(base, flipped, rtol=1e-12, atol=1e-14):
                 raise ValueError(f"symbol {self.name!r} is not even under k -> q*k")
 
 
@@ -137,34 +124,6 @@ def _neumann_pair_weights(spec: LatticeSpec) -> np.ndarray:
     if spec.d == 1:
         return a
     return a[:, None] * a[None, :]
-
-
-def dirichlet_basis_eval(spec: LatticeSpec, k: DualIndex, x_index: tuple) -> float:
-    """Value of d_k at the site with multi-index x_index (corner coords)."""
-    if k.flavor != "dirichlet":
-        raise ValueError("frequency is not flagged Dirichlet")
-    m = k.as_modes(spec)
-    P = spec.L * spec.n
-    if any(mi <= 0 or mi >= P for mi in m):
-        raise ValueError(f"mode {m} is not in the Dirichlet index set (1..{P-1})")
-    val = spec.N ** (-spec.d / 2)
-    for mi, ji in zip(m, x_index):
-        val *= 2.0 * np.sin(2 * np.pi * (mi / spec.N) * (ji / spec.n))
-    return float(val)
-
-
-def neumann_basis_eval(spec: LatticeSpec, k: DualIndex, x_index: tuple) -> float:
-    if k.flavor != "neumann":
-        raise ValueError("frequency is not flagged Neumann")
-    m = k.as_modes(spec)
-    P = spec.L * spec.n
-    if any(mi < 0 or mi > P for mi in m):
-        raise ValueError(f"mode {m} is not in the Neumann index set (0..{P})")
-    val = spec.N ** (-spec.d / 2)
-    for mi, ji in zip(m, x_index):
-        h = 1 if mi in (0, P) else 0
-        val *= 2.0 ** (1 - h / 2) * np.cos(2 * np.pi * (mi / spec.N) * (ji / spec.n))
-    return float(val)
 
 
 def basis_field(spec: LatticeSpec, flavor: str, modes: tuple) -> Field:
@@ -255,11 +214,9 @@ def dense_basis_matrix(spec: LatticeSpec, flavor: str) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def fourier_multiplier(sigma: MultiplierSpec, u: Field, flavor: str,
-                       check_even: bool = True) -> Field:
-    """sigma(D) u in the flavor basis."""
-    if check_even:
-        sigma.check_even(u.spec)
+def fourier_multiplier(sigma: MultiplierSpec, u: Field, flavor: str) -> Field:
+    """sigma(D) u in the flavor basis; a symbol that is not even is rejected."""
+    sigma.check_even(u.spec)
     c = forward_transform(u, flavor)
     c.coeffs = c.coeffs * sigma(frequency_grid(u.spec, flavor))
     return inverse_transform(c)
@@ -289,13 +246,14 @@ def laplacian_multiplier(spec: LatticeSpec) -> MultiplierSpec:
     return MultiplierSpec(lambda k: laplacian_symbol(k, n), name="laplacian")
 
 
-def apply_laplacian(u: Field, flavor: str) -> Field:
-    """Nearest-neighbor stencil of the extended field, read on the box.
+def _neighbor_sum(u: Field, flavor: str, term) -> np.ndarray:
+    """Sum over axes e of term(u(x - e/n) - u(x), u(x + e/n) - u(x)), the
+    neighbor differences of the extended field, at every box site.
 
     One reflected layer per face gives every box site its neighbors in the
     torus extension: even reflection for Neumann, odd reflection about the
-    zeroed faces for Dirichlet.  Summing neighbor differences (rather than
-    neighbors minus 2d times the center) keeps constants in the exact kernel.
+    zeroed faces for Dirichlet, so a Dirichlet field reads 0 on the faces
+    whatever its stored face values.
     """
     spec = u.spec
     if flavor == "neumann":
@@ -313,12 +271,21 @@ def apply_laplacian(u: Field, flavor: str) -> Field:
         hi = list(inner_sl)
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
-        acc += (v[tuple(lo)] - center) + (v[tuple(hi)] - center)
-    return Field(spec, spec.n ** 2 * acc)
+        acc += term(v[tuple(lo)] - center, v[tuple(hi)] - center)
+    return acc
+
+
+def apply_laplacian(u: Field, flavor: str) -> Field:
+    """Nearest-neighbor stencil of the extended field, read on the box.
+
+    Summing neighbor differences (rather than neighbors minus 2d times the
+    center) keeps constants in the exact kernel.
+    """
+    return Field(u.spec, u.spec.n ** 2 * _neighbor_sum(u, flavor, np.add))
 
 
 def apply_laplacian_spectral(u: Field, flavor: str) -> Field:
-    return fourier_multiplier(laplacian_multiplier(u.spec), u, flavor, check_even=False)
+    return fourier_multiplier(laplacian_multiplier(u.spec), u, flavor)
 
 
 def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -328,10 +295,11 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def default_cutoff() -> MultiplierSpec:
-    """Radial C^2 cut-off: 0 for |k| <= 1/4, 1 for |k| >= 1/2.
+    """The cut-off chi of the enhancement, the only one pamlab uses.
 
-    Kills the zero mode, which is the only property downstream computations
-    rely on; the blend just keeps symbols smooth on the dual torus.
+    Radial and C^2: 0 for |k| <= 1/4, 1 for |k| >= 1/2.  It kills the zero
+    mode, which is the only property downstream computations rely on; the
+    blend just keeps symbols smooth on the dual torus.
     """
 
     def chi(k):
@@ -341,8 +309,9 @@ def default_cutoff() -> MultiplierSpec:
     return MultiplierSpec(chi, name="chi")
 
 
-def renormalization_constant(spec: LatticeSpec, chi: MultiplierSpec | None = None) -> float:
-    """Normalized dual-lattice sum N^{-d} sum_k chi(k) / (-l^n(k)), d = 2 only.
+def renormalization_constant(spec: LatticeSpec) -> float:
+    """Normalized dual-lattice sum N^{-d} sum_k chi(k) / (-l^n(k)), d = 2 only,
+    with chi the ``default_cutoff``.
 
     Grows like log(n) and is independent of the box side up to O(1/N).  The
     sign convention uses -l^n >= 0 so that the constant is non-negative.
@@ -352,17 +321,11 @@ def renormalization_constant(spec: LatticeSpec, chi: MultiplierSpec | None = Non
     """
     if spec.d != 2:
         raise ValueError("the renormalization constant is defined in d = 2 only")
-    if chi is None:
-        chi = default_cutoff()
     kk = frequency_grid(spec, "neumann")
     lt = -laplacian_symbol(kk, spec.n)
-    c = chi(kk)
-    if abs(float(chi(np.zeros((1, 2)))[0])) > 0:
-        raise ValueError("cut-off must vanish at k = 0")
+    c = default_cutoff()(kk)
     out = np.zeros_like(lt)
     mask = lt > 0
     out[mask] = c[mask] / lt[mask]
-    if np.any(c[~mask] != 0.0):
-        raise ValueError("cut-off does not vanish on the kernel of the Laplacian")
     w = reflection_multiplicities(spec)
     return float(w @ out @ w / spec.N ** spec.d)

@@ -26,6 +26,7 @@ import numpy as np
 from .branching import ambient_rates, particle_count, simulate_replicas
 from .lattice import Field
 from .solver import apply_hamiltonian, semigroup_apply, solve_dual_fkpp
+from .spectral import _neighbor_sum
 
 MAX_EXPLODED_FRACTION = 0.01
 
@@ -100,19 +101,20 @@ def _statistical_verdict(exploded: int, replicas: int, deviation: float, bound: 
 
 def test_moment_duality(env, L: int, t: float, phi: Field, replicas: int,
                         seed_base: int = 0, L_max: int | None = None,
-                        cap: int = 1_000_000, dt_ref: float = 2.5e-4) -> TestReport:
+                        cap: int = 1_000_000) -> TestReport:
     """Monte Carlo mean of <mu_t, phi> against (T_t phi)(origin).
 
     The drift compensation makes the pairing's expectation solve the linear
     equation exactly at finite n, so the solver output is the reference up
-    to its own (much smaller) time-stepping error.  t = 0 is exact.
+    to its own (much smaller) time-stepping error, taken at dt = 2.5e-4.
+    t = 0 is exact.
     """
     spec = env.spec
     if not phi.is_dirichlet():
         raise ValueError("test function must vanish on the box boundary")
     L_max = L_max or L
     rates = ambient_rates(env, L_max)
-    ref = float(semigroup_apply(env, t, phi, dt_ref).values[spec.origin_index])
+    ref = float(semigroup_apply(env, t, phi, 2.5e-4).values[spec.origin_index])
     chash = config_hash(test="moment_duality", n=spec.n, d=spec.d, L=L, t=t,
                         replicas=replicas, seed_base=seed_base, L_max=L_max,
                         phi=_digest(phi.values), **_environment_identity(env))
@@ -154,24 +156,14 @@ def discrete_qv_density(env, phi: Field) -> dict:
     K^2 integrates (1/K) [ n^2 sum_nbr (phi(y)-phi(x))^2 + |xi_e| phi^2 ]
     against mu.  Both components are returned separately; their sum is exact
     for the jump process at finite n (the branching part alone is the
-    n -> infinity limit formula with n^{-rho}|xi_e| -> 2 nu).
+    n -> infinity limit formula with n^{-rho}|xi_e| -> 2 nu).  The neighbor
+    differences are those of ``spectral.apply_laplacian`` in the Dirichlet
+    flavor, which reads phi as 0 on the faces, as the killed process does.
     """
     spec = phi.spec
     K = particle_count(spec)
     vals = phi.values
-    jump = np.zeros(spec.shape)
-    for axis in range(spec.d):
-        pad_shape = list(spec.shape)
-        pad_shape[axis] += 2
-        padded = np.zeros(pad_shape)
-        core = [slice(None)] * spec.d
-        core[axis] = slice(1, -1)
-        padded[tuple(core)] = vals
-        up = [slice(None)] * spec.d
-        up[axis] = slice(2, None)
-        down = [slice(None)] * spec.d
-        down[axis] = slice(0, -2)
-        jump += (padded[tuple(up)] - vals) ** 2 + (padded[tuple(down)] - vals) ** 2
+    jump = _neighbor_sum(phi, "dirichlet", lambda lo, hi: hi ** 2 + lo ** 2)
     jump *= float(spec.n) ** 2
     mask = spec.boundary_mask()
     jump[mask] = 0.0
@@ -191,6 +183,8 @@ def test_martingale_qv(env, L: int, T: float, phi: Field, replicas: int,
     the comparison in (b) is paired per replica to cancel common noise.
     """
     spec = env.spec
+    if not phi.is_dirichlet():
+        raise ValueError("test function must vanish on the box boundary")
     L_max = L_max or L
     rates = ambient_rates(env, L_max)
     Hphi = apply_hamiltonian(env, phi)

@@ -558,7 +558,6 @@ class TestPartitionSpecCheck:
             lambda: paraproduct(u, u, "neumann", "neumann", part),
             lambda: resonant(u, u, "neumann", "neumann", part),
             lambda: time_weighted_norm([0.0], [u], tw, part),
-            lambda: enhance(noise, partition=part),
         ]
         for call in calls:
             with pytest.raises(ValueError) as err:

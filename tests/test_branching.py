@@ -25,7 +25,7 @@ from pamlab.solver import apply_hamiltonian
 
 
 def flat_rates(n, L, d, value):
-    spec = LatticeSpec(n=n, L=L, d=d, centered=True)
+    spec = LatticeSpec(n=n, L=L, d=d)
     return AmbientRates(spec, np.full(spec.shape, float(value)))
 
 
@@ -152,7 +152,7 @@ class TestKillingAndProjection:
 
     def test_single_particle_exit_bookkeeping(self):
         # one particle (K=1), no branching: mass_L(t) = 1_{t < tau}
-        spec = LatticeSpec(n=1, L=8, d=1, centered=True)
+        spec = LatticeSpec(n=1, L=8, d=1)
         rates = AmbientRates(spec, np.zeros(spec.shape))
         res = simulate(rates, 50.0, seed=4)
         assert res.initial_count == 1
@@ -430,6 +430,13 @@ class TestLockstepEngine:
                 assert np.array_equal(a, b)
             assert np.array_equal(plain.sup_total_mass(L), recorded.sup_total_mass(L))
             assert np.array_equal(plain.integrals[(L, "one")], recorded.integrals[(L, "one")])
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_horizon_not_finite_and_positive(self, horizon):
+        # a nan horizon used to return a batch in which no particle survived
+        rates = flat_rates(4, 2, 1, 1.0)
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            simulate_replicas(rates, horizon, [0, 1], [2])
 
     def test_unrecorded_batch_has_no_event_log(self):
         rates = ambient_rates(build_environment(8, 2, 1, "gaussian", 5), 4)

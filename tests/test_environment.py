@@ -119,7 +119,7 @@ class TestBuildX:
             sol = np.where(lt > 0, cvals * coeff / lt, 0.0)
         dense_X = (B @ sol.ravel()).reshape(spec.shape)
         assert np.abs(dense_X - X.values).max() < 1e-10
-        rhs = fourier_multiplier(chi, noise.field, "neumann", check_even=False)
+        rhs = fourier_multiplier(chi, noise.field, "neumann")
         resid = apply_laplacian(X, "neumann").values + rhs.values
         assert np.abs(resid).max() <= 1e-8 * np.abs(rhs.values).max()
 
@@ -234,7 +234,7 @@ class TestLemmaNormSurvey:
 def survey_oracle(n, seed, alpha, eps, d, distribution="gaussian"):
     """One survey row from scratch: every column a ``besov_norm`` of its own
     field, and the raw resonant product built as renormalized + kappa."""
-    spec = LatticeSpec(n=n, L=2, d=d, centered=True)
+    spec = LatticeSpec(n=n, L=2, d=d)
     part = build_partition(spec)
     noise = sample_noise(NoiseSpec(distribution, seed, spec))
     pos = positive_part_statistics(noise).field
@@ -284,9 +284,9 @@ class TestSurveySharesBlocks:
 
         calls = []
 
-        def counting(spec, chi=None):
+        def counting(spec):
             calls.append(spec.n)
-            return renormalization_constant(spec, chi)
+            return renormalization_constant(spec)
 
         monkeypatch.setattr(environment, "renormalization_constant", counting)
         regularity_norm_survey([8, 16], [1, 2, 3], alpha=0.8, eps=0.1, L=2, d=2)

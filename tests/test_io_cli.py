@@ -126,8 +126,10 @@ class TestConfigParsing:
         assert cfg.phi == "gaussian"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            parse_config_text("d=1\nn_list=8\nseeds=1\nbogus=3\n")
+        # the survey's norm exponents p, q are fixed per quantity: no key
+        for line in ("bogus=3", "p=2", "q=inf"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                parse_config_text(f"d=1\nn_list=8\nseeds=1\n{line}\n")
 
     def test_L_exceeding_L_max_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +151,7 @@ class TestConfigParsing:
         seen = []
         monkeypatch.setitem(cli.COMMANDS, "solve", lambda cfg, out: seen.append(cfg) or 0)
         text = ("d=2\nn_list=4,8\nseeds=3\nphi=uniform\nL_list=2,4\nL_max=6\n"
-                "alpha=0.7\neps=0.2\np=2\nq=inf\nT=0.1\ndt=0.002\nreplicas=9\n"
+                "alpha=0.7\neps=0.2\nT=0.1\ndt=0.002\nreplicas=9\n"
                 "cap=50\namp=0.3\nseed_base=5\nzero_potential=1\n")
         argv = ["solve", "--out", str(tmp_path)]
         for line in text.splitlines():
@@ -160,10 +162,27 @@ class TestConfigParsing:
         assert main(argv) == 0
         assert seen == [parse_config_text(text)]
 
+    def test_every_config_key_is_read(self):
+        # a key no command reads would be accepted and then ignored
+        import dataclasses
+        import inspect
+        import re
+
+        from pamlab import cli
+
+        commands = inspect.getsource(cli)
+        post_init = inspect.getsource(cli.RunConfig.__post_init__)
+        unread = [f.name for f in dataclasses.fields(cli.RunConfig)
+                  if not re.search(rf"\bcfg\.{f.name}\b", commands)
+                  and not re.search(rf"\bself\.{f.name}\b", post_init)]
+        assert unread == []
+
     def test_malformed_flag_fails_before_work(self, tmp_path):
         out = tmp_path / "out"
         for bad in (["--d", "two"], ["--T", "soon"], ["--n-list", "4,x"],
-                    ["--phi", "cauchy"]):
+                    ["--phi", "cauchy"], ["--T", "nan"], ["--T", "inf"], ["--T", "-0.1"],
+                    ["--dt", "inf"], ["--dt", "0"], ["--amp", "nan"], ["--alpha", "nan"],
+                    ["--eps", "inf"], ["--eps=-inf"]):
             with pytest.raises(ValueError):
                 main(["gen-env", "--out", str(out), "--d", "1", "--n-list", "4",
                       "--seeds", "1", *bad])

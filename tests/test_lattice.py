@@ -29,7 +29,7 @@ class TestLatticeSpec:
             LatticeSpec(**{"d": 1, **bad})
 
     def test_origin_is_a_site_when_centered(self):
-        spec = LatticeSpec(n=3, L=2, d=2, centered=True)
+        spec = LatticeSpec(n=3, L=2, d=2)
         x = spec.axis_coords()
         i, j = spec.origin_index
         assert x[i] == 0.0 and x[j] == 0.0
@@ -44,11 +44,11 @@ class TestLatticeSpec:
 
 class TestBoundarySites:
     def test_1d_interval_endpoints(self):
-        spec = LatticeSpec(n=2, L=2, d=1, centered=True)
+        spec = LatticeSpec(n=2, L=2, d=1)
         assert boundary_sites(spec) == {(-1.0,), (1.0,)}
 
     def test_2d_small_box_all_but_center(self):
-        spec = LatticeSpec(n=1, L=2, d=2, centered=True)
+        spec = LatticeSpec(n=1, L=2, d=2)
         # 3x3 sites, only the origin is interior
         assert len(boundary_sites(spec)) == 8
 

@@ -3,14 +3,12 @@ import pytest
 
 from pamlab.lattice import Field, LatticeSpec, odd_extension
 from pamlab.spectral import (
-    DualIndex,
     MultiplierSpec,
     apply_laplacian,
     apply_laplacian_spectral,
     basis_field,
     default_cutoff,
     dense_basis_matrix,
-    dirichlet_basis_eval,
     forward_transform,
     fourier_multiplier,
     frequency_grid,
@@ -18,7 +16,6 @@ from pamlab.spectral import (
     inverse_transform,
     laplacian_symbol,
     mode_axis,
-    neumann_basis_eval,
     periodic_multiplier,
     renormalization_constant,
 )
@@ -33,34 +30,34 @@ def rand_field(spec, seed=0):
 
 class TestBasisEval:
     def test_dirichlet_vanishes_on_box_boundary(self):
-        spec = LatticeSpec(n=3, L=2, d=1)
-        k = DualIndex((1 / spec.N,), "dirichlet")
-        assert dirichlet_basis_eval(spec, k, (0,)) == 0.0
-        assert abs(dirichlet_basis_eval(spec, k, (spec.L * spec.n,))) < 1e-15
+        for d in (1, 2):
+            spec = LatticeSpec(n=3, L=2, d=d)
+            for m in (1, spec.L * spec.n - 1):
+                field = basis_field(spec, "dirichlet", (m,) * d)
+                assert np.all(field.values[spec.boundary_mask()] == 0.0)
+                assert np.abs(field.values).max() > 0.1
 
     def test_dirichlet_direct_formula_value(self):
-        # d=1, L=2 (N=4), k=1/4, x=1: (1/2) * 2 * sin(pi/2) = 1
+        # d=1, L=2 (N=4), m=1 (k=1/4), x=1: (1/2) * 2 * sin(pi/2) = 1
         spec = LatticeSpec(n=2, L=2, d=1)
-        k = DualIndex((0.25,), "dirichlet")
-        x_index = (spec.n,)  # corner coordinate x = 1
-        assert dirichlet_basis_eval(spec, k, x_index) == pytest.approx(1.0, abs=1e-14)
+        x_index = spec.n  # corner coordinate x = 1
+        value = basis_field(spec, "dirichlet", (1,)).values[x_index]
+        assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_dirichlet_rejects_boundary_frequencies(self):
+        # P = L n = 4: Dirichlet modes run over 1..3, Neumann over 0..4
         spec = LatticeSpec(n=2, L=2, d=2)
-        with pytest.raises(ValueError):
-            dirichlet_basis_eval(spec, DualIndex((0.0, 0.25), "dirichlet"), (1, 1))
-
-    def test_dual_index_requires_multiples_of_1_over_N(self):
-        spec = LatticeSpec(n=2, L=2, d=1)
-        with pytest.raises(ValueError):
-            DualIndex((0.3,), "dirichlet").as_modes(spec)
+        for flavor, modes in [("dirichlet", (0, 1)), ("dirichlet", (1, 4)),
+                              ("dirichlet", (-1, 1)), ("neumann", (0, 5)),
+                              ("neumann", (-1, 0))]:
+            with pytest.raises(ValueError, match="out of range"):
+                basis_field(spec, flavor, modes)
 
     def test_neumann_zero_mode_is_normalized_constant(self):
         spec = LatticeSpec(n=2, L=2, d=2)
-        k = DualIndex((0.0, 0.0), "neumann")
         expect = spec.N ** (-spec.d / 2) * 2 ** (spec.d / 2)
-        for idx in [(0, 0), (1, 3), (4, 4)]:
-            assert neumann_basis_eval(spec, k, idx) == pytest.approx(expect, abs=1e-15)
+        values = basis_field(spec, "neumann", (0, 0)).values
+        assert np.abs(values - expect).max() <= 1e-15
 
     def test_dirichlet_self_inner_product_is_one(self):
         # brute-force inner product oracle at n=4
@@ -221,10 +218,10 @@ class TestLaplacianSymbol:
         assert laplacian_symbol(kd, spec.n).max() < 0.0
 
 
-def full_grid_kappa(spec, chi=None):
+def full_grid_kappa(spec):
     """Oracle: N^{-2} sum of chi / (-l^n) over the whole dual torus
     m in [-P, P)^2, summed a block of rows at a time to bound memory."""
-    chi = chi if chi is not None else default_cutoff()
+    chi = default_cutoff()
     P = spec.L * spec.n
     k1 = np.arange(-P, P) / spec.N
     total = 0.0
@@ -251,11 +248,6 @@ class TestRenormalizationConstant:
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
             renormalization_constant(LatticeSpec(n=4, L=2, d=1))
-
-    def test_zero_cutoff_gives_zero(self):
-        spec = LatticeSpec(n=8, L=2, d=2)
-        zero = MultiplierSpec(lambda k: np.zeros(k.shape[:-1]), "zero")
-        assert renormalization_constant(spec, zero) == 0.0
 
     def test_log_growth_differences(self):
         ks = {n: renormalization_constant(LatticeSpec(n=n, L=2, d=2)) for n in (16, 32, 64)}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pamlab import verify
+from pamlab.branching import particle_count
 from pamlab.environment import build_environment
 from pamlab.lattice import Field
 from pamlab.solver import PotentialEnvironment, zero_environment
@@ -64,6 +65,49 @@ class TestMartingaleQv:
         rep = verify.test_martingale_qv(env_d1, L=2, T=0.15, phi=phi, replicas=600)
         assert rep.passed
         assert rep.extras["qv_passed"] and rep.extras["mean_passed"]
+
+    def test_rejects_non_dirichlet_phi(self, env_d1):
+        # the killed process reads phi as 0 on the faces, so a phi that is
+        # not would pair a QV reference with walls the process never sees
+        phi = Field(env_d1.spec, np.ones(env_d1.spec.shape))
+        with pytest.raises(ValueError, match="vanish on the box boundary"):
+            verify.test_martingale_qv(env_d1, L=2, T=0.1, phi=phi, replicas=2)
+
+
+class TestDiscreteQvDensity:
+    @pytest.mark.parametrize("d, n", [(1, 4), (1, 16), (2, 4), (2, 8)])
+    def test_jump_density_matches_site_loop(self, d, n):
+        # oracle: per interior site, n^2 sum over neighbors of the squared
+        # difference, face neighbors read as 0, each axis in the same order
+        env = build_environment(n, 2, d, "gaussian", seed=3)
+        spec = env.spec
+        rng = np.random.default_rng(n)
+        for phi in (verify.smooth_bump(spec), Field(spec, rng.normal(size=spec.shape))):
+            phi.values[spec.boundary_mask()] = 0.0
+            got = verify.discrete_qv_density(env, phi)["jump"]
+            P = spec.L * spec.n
+            want = np.zeros(spec.shape)
+            for idx in np.ndindex(*spec.shape):
+                if any(i in (0, P) for i in idx):
+                    continue
+                acc = 0.0
+                for axis in range(d):
+                    up, down = list(idx), list(idx)
+                    up[axis] += 1
+                    down[axis] -= 1
+                    c = phi.values[idx]
+                    acc += (phi.values[tuple(up)] - c) ** 2 + (phi.values[tuple(down)] - c) ** 2
+                want[idx] = acc * float(n) ** 2 / particle_count(spec)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_face_values_read_as_zero(self):
+        # phi = 1 everywhere reads as 0 on the walls: the sites next to them
+        # carry one unit jump each way, n^2 / K = 64 at d = 1, n = 16
+        env = build_environment(16, 2, 1, "gaussian", seed=3)
+        spec = env.spec
+        jump = verify.discrete_qv_density(env, Field(spec, np.ones(spec.shape)))["jump"]
+        assert jump[1] == jump[-2] == 16 ** 2 / particle_count(spec) == 64.0
+        assert np.all(jump[2:-2] == 0.0) and jump[0] == jump[-1] == 0.0
 
 
 class TestLaplaceFunctional:
