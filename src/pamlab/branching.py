@@ -42,7 +42,7 @@ import numpy as np
 
 from .environment import _GOLDEN, _mix64, _unit_interval
 from .lattice import LatticeSpec
-from .solver import _finite_positive
+from .solver import PotentialEnvironment, _finite_positive
 
 EVENT_KINDS = ("jump", "branch", "death", "absorbed")
 JUMP, BRANCH, DEATH, ABSORBED = range(4)
@@ -65,21 +65,9 @@ def flat_index(spec: LatticeSpec, idx: tuple) -> int:
     return int(idx[0]) * S + int(idx[1])
 
 
-@dataclass(frozen=True)
-class AmbientRates:
-    """Potential and geometry tables over the ambient (largest) box."""
-
-    spec: LatticeSpec
-    xi_e: np.ndarray
-    c_n: float = 0.0
-
-    def __post_init__(self):
-        if self.xi_e.shape != self.spec.shape:
-            raise ValueError("potential shape does not match the ambient box")
-
-
-def ambient_rates(env, L_max: int) -> AmbientRates:
-    """Extend the environment of a solve box to the ambient box.
+def ambient_rates(env, L_max: int) -> PotentialEnvironment:
+    """Extend the environment of a solve box to the ambient box, as the
+    potential the simulator reads its rates from.
 
     Site-keyed sampling guarantees the two agree on shared sites; the
     renormalization constant is reused from the environment archive rather
@@ -91,20 +79,19 @@ def ambient_rates(env, L_max: int) -> AmbientRates:
     spec = env.spec
     if L_max < spec.L:
         raise ValueError("ambient box must contain the solve box")
-    c_n = getattr(env, "c_n", 0.0)
     if L_max == spec.L:
-        return AmbientRates(spec, np.asarray(env.xi_e).copy(), c_n)
+        return PotentialEnvironment(spec, np.asarray(env.xi_e).copy())
     big = LatticeSpec(n=spec.n, L=L_max, d=spec.d)
     if not hasattr(env, "noise"):
         xi = np.asarray(env.xi_e)
         if np.all(xi == xi.flat[0]):
             # constant potentials extend canonically
-            return AmbientRates(big, np.full(big.shape, float(xi.flat[0])), c_n)
+            return PotentialEnvironment(big, np.full(big.shape, float(xi.flat[0])))
         raise ValueError(
             "an explicit non-constant potential cannot be extended; build it "
             "on the ambient box directly")
     noise = sample_noise(NoiseSpec(env.noise.distribution, env.noise.seed, big))
-    return AmbientRates(big, noise.values - c_n, c_n)
+    return PotentialEnvironment(big, noise.values - env.c_n)
 
 
 @dataclass
@@ -127,7 +114,7 @@ class ParticleRecord:
 
 @dataclass
 class SimulationResult:
-    rates: AmbientRates
+    rates: PotentialEnvironment
     horizon: float
     seed: int
     initial_count: int
@@ -212,7 +199,7 @@ def _grow(columns: dict, size: int) -> None:
             columns[name] = new
 
 
-def _advance(rates: AmbientRates, horizon: float, seeds, cap: int,
+def _advance(rates: PotentialEnvironment, horizon: float, seeds, cap: int,
              Ls=(), times=(), site_funcs=None, record=False) -> _Run:
     """The lockstep engine: every live particle of every replica fires its
     next event in each iteration, until no particle is left before the
@@ -454,7 +441,7 @@ class ReplicaBatch:
                         ev["kind"][by_time].tolist(), ev["site"][by_time].tolist()))
 
 
-def simulate_replicas(rates: AmbientRates, horizon: float, seeds, Ls=(),
+def simulate_replicas(rates: PotentialEnvironment, horizon: float, seeds, Ls=(),
                       snapshot_times=(), site_funcs=None,
                       cap: int = 1_000_000, record: bool = False) -> ReplicaBatch:
     """Run one replica per seed in lockstep and fold the killed observables.
@@ -490,7 +477,7 @@ def simulate_replicas(rates: AmbientRates, horizon: float, seeds, Ls=(),
         _run=run)
 
 
-def simulate(rates: AmbientRates, horizon: float, seed: int,
+def simulate(rates: PotentialEnvironment, horizon: float, seed: int,
              cap: int = 1_000_000) -> SimulationResult:
     """One exact trajectory up to the horizon with its full history: the
     recorded ``simulate_replicas`` batch of the one seed, as per-particle

@@ -3,9 +3,10 @@
 Commands: gen-env, solve, simulate, verify, survey.  Configuration comes
 from a flat key=value file, optionally overridden by flags: one per
 ``RunConfig`` field, spelled ``--`` plus the field name with ``_`` turned
-into ``-`` and parsed by the same cast as its config line.  Everything is
-validated before any work starts and the fully resolved configuration
-(defaults included) is echoed into the run manifest.
+into ``-`` and parsed by the same cast as its config line; flags are
+matched exactly, so an abbreviation is an error, not the key it prefixes.
+Everything is validated before any work starts and the fully resolved
+configuration (defaults included) is echoed into the run manifest.
 Data outputs are byte-reproducible for identical configurations; wall-clock
 timestamps live only in the manifest.
 """
@@ -278,6 +279,11 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     return 0
 
 
+def _number(value, spec: str) -> str:
+    """A report value as printed; an undefined one reads null, as in its JSON."""
+    return "null" if value is None else format(value, spec)
+
+
 def cmd_verify(cfg: RunConfig, outdir: str) -> int:
     manifest = RunManifest("verify", cfg)
     reports = []
@@ -307,8 +313,8 @@ def cmd_verify(cfg: RunConfig, outdir: str) -> int:
     manifest.write(outdir)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} statistic={r.statistic:.6g} "
-              f"reference={r.reference:.6g} se={r.se:.3g}")
+        print(f"{status} {r.name} statistic={_number(r.statistic, '.6g')} "
+              f"reference={r.reference:.6g} se={_number(r.se, '.3g')}")
     return 1 if failures else 0
 
 
@@ -350,7 +356,7 @@ def main(argv=None) -> int:
         description="lattice PAM / branching random walk laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_common_flags(subs.add_parser(name))
+        _add_common_flags(subs.add_parser(name, allow_abbrev=False))
     args = parser.parse_args(argv)
     overrides = {
         k: v for k, v in vars(args).items()

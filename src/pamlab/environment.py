@@ -110,17 +110,12 @@ def nu_closed_form(distribution: str) -> float:
 
 
 def positive_part_variance(distribution: str) -> float:
-    """Var(max(Phi, 0)), used for standard-error bounds in tests."""
-    nu = nu_closed_form(distribution)
-    if distribution == "gaussian":
-        second = 0.5
-    elif distribution == "rademacher":
-        second = 0.5
-    elif distribution == "uniform":
-        second = 0.5  # int_0^s x^2 /(2s) dx with s = sqrt(3)
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    return second - nu * nu
+    """Var(max(Phi, 0)), used for standard-error bounds in tests.
+
+    E[Phi_+^2] = 1/2 for every symmetric unit-variance Phi (half of E Phi^2
+    sits on each side of 0), so the variance is 1/2 - nu^2.
+    """
+    return 0.5 - nu_closed_form(distribution) ** 2
 
 
 @dataclass(frozen=True)

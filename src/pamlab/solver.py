@@ -50,15 +50,21 @@ SCHEMES = ("splitting", "dense-exponential")
 class PotentialEnvironment:
     """Minimal environment protocol: a lattice and a potential array.
 
-    Used for closed-form tests (zero or constant potential); the enhanced
-    environment from :mod:`pamlab.environment` provides the same surface.
-    The branching intensity defaults to zero (no noise, no branching).
+    Used for closed-form tests (zero or constant potential) and, from
+    ``branching.ambient_rates``, as the simulator's potential on the ambient
+    box; the enhanced environment from :mod:`pamlab.environment` provides
+    the same surface.  The branching intensity defaults to zero (no noise,
+    no branching).
     """
 
     spec: LatticeSpec
     xi_e_values: np.ndarray
     c_n: float = 0.0
     nu: float = 0.0
+
+    def __post_init__(self):
+        if np.shape(self.xi_e_values) != self.spec.shape:
+            raise ValueError("potential shape does not match the box")
 
     @property
     def xi_e(self) -> np.ndarray:

@@ -8,10 +8,15 @@ exploded (live population over the cap, or births over four caps, where the
 simulator halts them) are excluded and counted; a test fails outright if
 more than one percent exploded.
 
-All tests are deterministic given the environment seed and the replica seed
-base: replica seeds are ``seed_base + i``.  Each test runs its replicas as
-one ``branching.simulate_replicas`` batch; a replica's outcome depends only
-on its own seed.
+All tests share one skeleton.  ``_replica_batch`` runs replica seeds
+``seed_base + i`` as one ``branching.simulate_replicas`` batch on the
+ambient box, zero-extends the test's fields onto it and hashes the report's
+parameters; ``_verdict`` gives a statistic's mean, standard error and
+3-SE verdict, the explosion rule included.  A test judged by a standard
+error needs ``replicas >= 2`` and raises ``ValueError`` otherwise; one left
+with fewer than two unexploded replicas fails and reports its undefined
+values as ``None`` (``null`` in the strict JSON of ``TestReport.to_json``).
+A replica's outcome depends only on its own seed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
 
@@ -34,9 +39,9 @@ MAX_EXPLODED_FRACTION = 0.01
 @dataclass
 class TestReport:
     name: str
-    statistic: float
+    statistic: float | None
     reference: float
-    se: float
+    se: float | None
     replicas: int
     passed: bool
     config_hash: str
@@ -45,19 +50,10 @@ class TestReport:
     extras: dict = dataclass_field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "statistic": self.statistic,
-            "reference": self.reference,
-            "se": self.se,
-            "replicas": self.replicas,
-            "passed": bool(self.passed),
-            "exact": bool(self.exact),
-            "exploded": self.exploded,
-            "config_hash": self.config_hash,
-        }
-        payload.update({k: v for k, v in sorted(self.extras.items())})
-        return json.dumps(payload, sort_keys=True)
+        """Strict JSON: an undefined statistic or standard error is null."""
+        payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        payload.update(payload.pop("extras"), passed=bool(self.passed), exact=bool(self.exact))
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 def config_hash(**kwargs) -> str:
@@ -89,14 +85,52 @@ def smooth_bump(spec, amplitude: float = 0.5) -> Field:
     return Field(spec, vals)
 
 
-def _seeds(seed_base: int, replicas: int) -> range:
-    return range(seed_base, seed_base + replicas)
+def _replica_batch(env, test: str, boxes, horizon: float, replicas: int,
+                   seed_base: int, L_max: int | None, cap: int, times=(),
+                   site_funcs=None, sampled: bool = True, **hash_keys):
+    """Replica seeds ``seed_base .. seed_base + replicas - 1`` as one batch on
+    the ambient box (side ``L_max or max(boxes)``), ``site_funcs`` given on
+    the environment's box.  Returns the batch, the zero-extension of a box
+    field onto the ambient grid, and the report hash.  A ``sampled`` test,
+    judged by its standard error, raises ``ValueError`` below two replicas.
+    """
+    if sampled and replicas < 2:
+        raise ValueError(f"{test} needs replicas >= 2 for a standard error, got {replicas}")
+    spec = env.spec
+    L_max = L_max or max(boxes)
+    rates = ambient_rates(env, L_max)
+    pad = (L_max - spec.L) // 2 * spec.n
+
+    def extend(values: np.ndarray) -> np.ndarray:
+        return np.pad(values, pad)
+
+    chash = config_hash(test=test, n=spec.n, d=spec.d, replicas=replicas,
+                        seed_base=seed_base, L_max=L_max, **hash_keys,
+                        **_environment_identity(env))
+    batch = simulate_replicas(rates, horizon, range(seed_base, seed_base + replicas), boxes,
+                              times, {k: extend(v) for k, v in (site_funcs or {}).items()},
+                              cap=cap)
+    return batch, extend, chash
 
 
-def _statistical_verdict(exploded: int, replicas: int, deviation: float, bound: float) -> bool:
-    if exploded > MAX_EXPLODED_FRACTION * replicas:
-        return False
-    return deviation <= bound
+def _few_exploded(batch) -> bool:
+    return int(batch.exploded.sum()) <= MAX_EXPLODED_FRACTION * len(batch.seeds)
+
+
+def _mean(values: np.ndarray) -> float | None:
+    return float(values.mean()) if len(values) else None
+
+
+def _verdict(batch, samples: np.ndarray, ref: float) -> tuple:
+    """(mean, standard error, 3-SE verdict) of the kept replicas' samples.
+
+    Fewer than two samples leave the standard error undefined (None) and fail.
+    """
+    if len(samples) < 2:
+        return _mean(samples), None, False
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
+    return mean, se, abs(mean - ref) <= 3 * se and _few_exploded(batch)
 
 
 def test_moment_duality(env, L: int, t: float, phi: Field, replicas: int,
@@ -109,43 +143,22 @@ def test_moment_duality(env, L: int, t: float, phi: Field, replicas: int,
     to its own (much smaller) time-stepping error, taken at dt = 2.5e-4.
     t = 0 is exact.
     """
-    spec = env.spec
     if not phi.is_dirichlet():
         raise ValueError("test function must vanish on the box boundary")
-    L_max = L_max or L
-    rates = ambient_rates(env, L_max)
-    ref = float(semigroup_apply(env, t, phi, 2.5e-4).values[spec.origin_index])
-    chash = config_hash(test="moment_duality", n=spec.n, d=spec.d, L=L, t=t,
-                        replicas=replicas, seed_base=seed_base, L_max=L_max,
-                        phi=_digest(phi.values), **_environment_identity(env))
-
-    batch = simulate_replicas(rates, t if t > 0 else 1e-9, _seeds(seed_base, replicas),
-                              [L], [t], cap=cap)
-    used = ~batch.exploded
+    ref = float(semigroup_apply(env, t, phi, 2.5e-4).values[env.spec.origin_index])
+    batch, extend, chash = _replica_batch(
+        env, "moment_duality", [L], t if t > 0 else 1e-9, replicas, seed_base, L_max, cap,
+        [t], sampled=t > 0, L=L, t=t, phi=_digest(phi.values))
+    arr = batch.pairings(0, L, extend(phi.values))[~batch.exploded]
     exploded = int(batch.exploded.sum())
-    arr = batch.pairings(0, L, _embed(phi, spec, rates.spec))[used]
     if t == 0.0:
         # exact: <mu_0, phi> = phi(0) with zero tolerance
-        dev = float(np.abs(arr - ref).max()) if arr.size else math.inf
-        return TestReport("moment_duality", float(arr.mean()), ref, 0.0, len(arr),
-                          dev == 0.0, chash, exact=True, exploded=exploded)
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else math.inf
-    dev = abs(float(arr.mean()) - ref)
-    return TestReport("moment_duality", float(arr.mean()), ref, se, len(arr),
-                      _statistical_verdict(exploded, replicas, dev, 3 * se),
-                      chash, exploded=exploded)
-
-
-def _embed(phi: Field, small_spec, big_spec) -> np.ndarray:
-    """Zero-extend a box-L field onto the ambient box grid."""
-    if small_spec.L == big_spec.L:
-        return phi.values
-    off = (big_spec.L - small_spec.L) // 2 * big_spec.n
-    out = np.zeros(big_spec.shape)
-    P = small_spec.L * small_spec.n
-    sl = tuple(slice(off, off + P + 1) for _ in range(big_spec.d))
-    out[sl] = phi.values
-    return out
+        passed = arr.size > 0 and bool(np.all(arr == ref)) and _few_exploded(batch)
+        return TestReport("moment_duality", _mean(arr), ref, 0.0, len(arr), passed,
+                          chash, exact=True, exploded=exploded)
+    mean, se, passed = _verdict(batch, arr, ref)
+    return TestReport("moment_duality", mean, ref, se, len(arr), passed, chash,
+                      exploded=exploded)
 
 
 def discrete_qv_density(env, phi: Field) -> dict:
@@ -182,47 +195,34 @@ def test_martingale_qv(env, L: int, T: float, phi: Field, replicas: int,
     density (jump-noise plus branching terms), which is exact at finite n;
     the comparison in (b) is paired per replica to cancel common noise.
     """
-    spec = env.spec
     if not phi.is_dirichlet():
         raise ValueError("test function must vanish on the box boundary")
-    L_max = L_max or L
-    rates = ambient_rates(env, L_max)
-    Hphi = apply_hamiltonian(env, phi)
     qv = discrete_qv_density(env, phi)
-    funcs = {
-        "H": _embed(Hphi, spec, rates.spec),
-        "qv": _embed(Field(spec, qv["jump"] + qv["branch"]), spec, rates.spec),
-        "qv_branch": _embed(Field(spec, qv["branch"]), spec, rates.spec),
-    }
-    phi_amb = _embed(phi, spec, rates.spec)
-    phi0_val = float(phi.values[spec.origin_index])
-    chash = config_hash(test="martingale_qv", n=spec.n, d=spec.d, L=L, T=T,
-                        replicas=replicas, seed_base=seed_base, L_max=L_max,
-                        phi=_digest(phi.values), **_environment_identity(env))
-
-    batch = simulate_replicas(rates, T, _seeds(seed_base, replicas), [L], [T], funcs, cap=cap)
+    funcs = {"H": apply_hamiltonian(env, phi).values, "qv": qv["jump"] + qv["branch"],
+             "qv_branch": qv["branch"]}
+    batch, extend, chash = _replica_batch(
+        env, "martingale_qv", [L], T, replicas, seed_base, L_max, cap, [T], funcs,
+        L=L, T=T, phi=_digest(phi.values))
     used = ~batch.exploded
-    exploded = int(batch.exploded.sum())
-    ks = (batch.pairings(0, L, phi_amb) - phi0_val - batch.integrals[(L, "H")])[used]
+    phi0_val = float(phi.values[env.spec.origin_index])
+    ks = (batch.pairings(0, L, extend(phi.values)) - phi0_val - batch.integrals[(L, "H")])[used]
     qs = batch.integrals[(L, "qv")][used]
     qb = batch.integrals[(L, "qv_branch")][used]
-    se_mean = float(ks.std(ddof=1) / math.sqrt(len(ks)))
-    pass_mean = _statistical_verdict(exploded, replicas, abs(float(ks.mean())), 3 * se_mean)
+    mean, se_mean, pass_mean = _verdict(batch, ks, 0.0)
     paired = ks ** 2 - qs
-    se_qv = float(paired.std(ddof=1) / math.sqrt(len(paired)))
-    pass_qv = _statistical_verdict(exploded, replicas, abs(float(paired.mean())), 3 * se_qv)
+    paired_mean, se_qv, pass_qv = _verdict(batch, paired, 0.0)
     return TestReport(
-        "martingale_qv", float(ks.mean()), 0.0, se_mean, len(ks),
-        pass_mean and pass_qv, chash, exploded=exploded,
+        "martingale_qv", mean, 0.0, se_mean, len(ks),
+        pass_mean and pass_qv, chash, exploded=int(batch.exploded.sum()),
         extras={
-            "k_second_moment": float((ks ** 2).mean()),
-            "qv_pathwise_mean": float(qs.mean()),
-            "qv_branch_component": float(qb.mean()),
-            "qv_jump_component": float((qs - qb).mean()),
-            "qv_paired_diff": float(paired.mean()),
+            "k_second_moment": _mean(ks ** 2),
+            "qv_pathwise_mean": _mean(qs),
+            "qv_branch_component": _mean(qb),
+            "qv_jump_component": _mean(qs - qb),
+            "qv_paired_diff": paired_mean,
             "qv_paired_se": se_qv,
-            "qv_passed": bool(pass_qv),
-            "mean_passed": bool(pass_mean),
+            "qv_passed": pass_qv,
+            "mean_passed": pass_mean,
         })
 
 
@@ -236,53 +236,36 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
     the environment's closed-form value); a negative or non-finite nu raises
     ``ValueError`` before any replica runs.  The s = 0 value is deterministic
     (mu_0 = delta_0), so every later grid mean is compared against it at
-    three standard errors.  phi0 = 0 makes N identically one, exactly.
+    three standard errors.  phi0 = 0 makes N identically one: every replica
+    must read exactly 1.
     """
-    spec = env.spec
     if float(np.min(phi0.values)) < 0:
         raise ValueError("the Laplace test function must be nonnegative")
     nu = env.nu if nu is None else nu
     s_grid = sorted(float(s) for s in ([0.0, t / 2, t] if s_grid is None else s_grid))
-    L_max = L_max or L
-    rates = ambient_rates(env, L_max)
-    horizons = [t - s for s in s_grid]
-    U = solve_dual_fkpp(env, phi0, nu, t, dt, store_times=horizons)
-    U_amb = {s: _embed(U[t - s], spec, rates.spec) for s in s_grid}
-    n0 = math.exp(-float(U[t].values[spec.origin_index]))
-    chash = config_hash(test="laplace_functional", n=spec.n, d=spec.d, L=L, t=t,
-                        nu=nu, replicas=replicas, seed_base=seed_base, L_max=L_max,
-                        s_grid=s_grid, phi=_digest(phi0.values),
-                        **_environment_identity(env))
-
-    if float(np.abs(phi0.values).max()) == 0.0:
-        # exact unit martingale
-        batch = simulate_replicas(rates, t, [seed_base], [L], s_grid)
-        devs = [abs(math.exp(-float(batch.pairings(ti, L, U_amb[s])[0])) - 1.0)
-                for ti, s in enumerate(s_grid)]
-        return TestReport("laplace_functional", 1.0, 1.0, 0.0, 1,
-                          max(devs) == 0.0, chash, exact=True)
-
-    batch = simulate_replicas(rates, t, _seeds(seed_base, replicas), [L], s_grid, cap=cap)
-    used = ~batch.exploded
+    U = solve_dual_fkpp(env, phi0, nu, t, dt, store_times=[t - s for s in s_grid])
+    n0 = math.exp(-float(U[t].values[env.spec.origin_index]))
+    exact = float(np.abs(phi0.values).max()) == 0.0
+    batch, extend, chash = _replica_batch(
+        env, "laplace_functional", [L], t, replicas, seed_base, L_max, cap, s_grid,
+        sampled=not exact, L=L, t=t, nu=nu, s_grid=s_grid, phi=_digest(phi0.values))
+    arr = np.exp(-np.stack([batch.pairings(ti, L, extend(U[t - s].values))
+                            for ti, s in enumerate(s_grid)], axis=1))[~batch.exploded]
     exploded = int(batch.exploded.sum())
-    arr = np.exp(-np.stack([batch.pairings(ti, L, U_amb[s])
-                            for ti, s in enumerate(s_grid)], axis=1))[used]
+    if exact:
+        passed = bool(np.all(arr == 1.0)) and _few_exploded(batch)
+        return TestReport("laplace_functional", 1.0, 1.0, 0.0, len(arr), passed, chash,
+                          exact=True, exploded=exploded)
     extras = {"n0": n0, "s_grid": s_grid}
-    passed = exploded <= MAX_EXPLODED_FRACTION * replicas
-    worst_dev = 0.0
+    passed = _few_exploded(batch)
     for j, s in enumerate(s_grid):
-        if s == 0.0:
-            continue
-        col = arr[:, j]
-        se = float(col.std(ddof=1) / math.sqrt(len(col)))
-        dev = abs(float(col.mean()) - n0)
-        worst_dev = max(worst_dev, dev - 3 * se)
-        extras[f"mean_s{j}"] = float(col.mean())
-        extras[f"se_s{j}"] = se
-        passed = passed and dev <= 3 * se
-    return TestReport("laplace_functional", float(arr[:, -1].mean()), n0,
-                      float(arr[:, -1].std(ddof=1) / math.sqrt(len(arr))),
-                      len(arr), passed, chash, exploded=exploded, extras=extras)
+        mean, se, ok = _verdict(batch, arr[:, j], n0)
+        if s > 0.0:
+            extras[f"mean_s{j}"], extras[f"se_s{j}"] = mean, se
+            passed = passed and ok
+    # mean and se are those of the last grid time, s = t
+    return TestReport("laplace_functional", mean, n0, se, len(arr), passed, chash,
+                      exploded=exploded, extras=extras)
 
 
 def test_mass_tail(env, L: int, T: float, replicas: int, R_grid,
@@ -292,25 +275,17 @@ def test_mass_tail(env, L: int, T: float, replicas: int, R_grid,
 
     The tail at any R below the initial mass 1 equals one by construction.
     """
-    spec = env.spec
-    L_max = L_max or L
-    rates = ambient_rates(env, L_max)
     R_grid = sorted(R_grid)
-    chash = config_hash(test="mass_tail", n=spec.n, d=spec.d, L=L, T=T,
-                        replicas=replicas, seed_base=seed_base, R_grid=R_grid,
-                        L_max=L_max, **_environment_identity(env))
-
-    batch = simulate_replicas(rates, T, _seeds(seed_base, replicas), [L], cap=cap)
-    exploded = int(batch.exploded.sum())
+    batch, _, chash = _replica_batch(
+        env, "mass_tail", [L], T, replicas, seed_base, L_max, cap, sampled=False,
+        L=L, T=T, R_grid=R_grid)
     sups = batch.sup_total_mass(L)[~batch.exploded]
-    tails = {R: float((sups >= R).mean()) for R in R_grid}
-    tail_vals = [tails[R] for R in R_grid]
-    monotone = all(a >= b for a, b in zip(tail_vals, tail_vals[1:]))
-    strict_ends = tail_vals[-1] < tail_vals[0]
-    passed = monotone and strict_ends and exploded <= MAX_EXPLODED_FRACTION * replicas
-    return TestReport("mass_tail", tail_vals[-1], 0.0, 0.0, len(sups), passed,
-                      chash, exploded=exploded,
-                      extras={f"tail_R{R:g}": tails[R] for R in R_grid})
+    tails = [_mean(sups >= R) for R in R_grid]
+    passed = (sups.size > 0 and all(a >= b for a, b in zip(tails, tails[1:]))
+              and tails[-1] < tails[0] and _few_exploded(batch))
+    return TestReport("mass_tail", tails[-1], 0.0, 0.0, len(sups), passed,
+                      chash, exploded=int(batch.exploded.sum()),
+                      extras={f"tail_R{R:g}": v for R, v in zip(R_grid, tails)})
 
 
 def test_ordering(env, Ls, T: float, snapshot_times, replicas: int,
@@ -321,26 +296,19 @@ def test_ordering(env, Ls, T: float, snapshot_times, replicas: int,
     Any violation at any site, snapshot, or replica is a hard failure
     (tolerance zero).  The ambient box is appended as the largest measure.
     """
-    L_max = L_max or max(Ls)
-    rates = ambient_rates(env, L_max)
-    Ls = sorted(set(list(Ls) + [L_max]))
-    chash = config_hash(test="ordering", n=env.spec.n, d=env.spec.d, Ls=Ls, T=T,
-                        replicas=replicas, seed_base=seed_base, L_max=L_max,
-                        snapshot_times=[float(s) for s in snapshot_times],
-                        **_environment_identity(env))
-    batch = simulate_replicas(rates, T, _seeds(seed_base, replicas), Ls, snapshot_times,
-                              cap=cap)
-    exploded = int(batch.exploded.sum())
-    violations = 0
-    checked = 0
+    Ls = sorted(set(list(Ls) + [L_max or max(Ls)]))
+    batch, _, chash = _replica_batch(
+        env, "ordering", Ls, T, replicas, seed_base, L_max, cap, snapshot_times,
+        sampled=False, Ls=Ls, T=T, snapshot_times=[float(s) for s in snapshot_times])
+    violations = checked = 0
     for La, Lb in zip(Ls, Ls[1:]):
         codes, counts = batch.occupation[La]
         used = ~batch.exploded[batch.atoms(La)[0]]
         checked += int(used.sum())
         violations += int(((counts > batch.counts_at(Lb, codes)) & used).sum())
-    passed = violations == 0 and exploded <= MAX_EXPLODED_FRACTION * replicas
-    return TestReport("ordering", float(violations), 0.0, 0.0,
-                      replicas - exploded, passed, chash, exact=True,
+    exploded = int(batch.exploded.sum())
+    return TestReport("ordering", float(violations), 0.0, 0.0, replicas - exploded,
+                      violations == 0 and _few_exploded(batch), chash, exact=True,
                       exploded=exploded, extras={"atoms_checked": checked})
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from pamlab import verify
 from pamlab.branching import (
-    AmbientRates,
     ambient_rates,
     kill_and_project,
     kill_schedule,
@@ -21,12 +20,12 @@ from pamlab.branching import (
 )
 from pamlab.environment import build_environment
 from pamlab.lattice import LatticeSpec
-from pamlab.solver import apply_hamiltonian
+from pamlab.solver import PotentialEnvironment, apply_hamiltonian
 
 
 def flat_rates(n, L, d, value):
     spec = LatticeSpec(n=n, L=L, d=d)
-    return AmbientRates(spec, np.full(spec.shape, float(value)))
+    return PotentialEnvironment(spec, np.full(spec.shape, float(value)))
 
 
 class TestInitState:
@@ -38,7 +37,7 @@ class TestInitState:
     def test_initial_measure_mass_is_one(self):
         for n in (4, 9, 16):
             spec = LatticeSpec(n=n, L=4, d=1)
-            rates = AmbientRates(spec, np.zeros(spec.shape))
+            rates = PotentialEnvironment(spec, np.zeros(spec.shape))
             res = simulate(rates, horizon=0.001, seed=0)
             emp = kill_and_project(res, [spec.L], [0.0])
             assert emp.mass(0, spec.L) == pytest.approx(1.0, abs=0)
@@ -153,7 +152,7 @@ class TestKillingAndProjection:
     def test_single_particle_exit_bookkeeping(self):
         # one particle (K=1), no branching: mass_L(t) = 1_{t < tau}
         spec = LatticeSpec(n=1, L=8, d=1)
-        rates = AmbientRates(spec, np.zeros(spec.shape))
+        rates = PotentialEnvironment(spec, np.zeros(spec.shape))
         res = simulate(rates, 50.0, seed=4)
         assert res.initial_count == 1
         sched = kill_schedule(res, [2])
@@ -279,6 +278,19 @@ class TestExplosionCap:
         P = 2 * 8
         sl = (slice(off, off + P + 1),) * 2
         assert np.array_equal(rates.xi_e[sl], env.xi_e)
+
+    def test_ambient_rates_is_a_potential_environment(self):
+        # the solver and the simulator read one potential type
+        env = build_environment(8, 2, 1, "gaussian", 13)
+        for L_max in (2, 6):
+            rates = ambient_rates(env, L_max)
+            assert isinstance(rates, PotentialEnvironment)
+            assert rates.spec == LatticeSpec(n=8, L=L_max, d=1)
+
+    def test_misshaped_potential_rejected(self):
+        spec = LatticeSpec(n=4, L=2, d=1)
+        with pytest.raises(ValueError, match="shape does not match"):
+            PotentialEnvironment(spec, np.zeros(spec.box_sites_per_axis + 1))
 
 
 def heap_oracle(rates, horizon, seed, site_funcs=None):

@@ -179,6 +179,15 @@ class TestEnhance:
 
 
 class TestPositivePartStatistics:
+    def test_positive_part_variance_exact(self):
+        # E[Phi_+^2] = 1/2 for each symmetric unit-variance law
+        assert positive_part_variance("gaussian") == pytest.approx(0.5 - 1 / (2 * math.pi),
+                                                                  rel=1e-15)
+        assert positive_part_variance("rademacher") == pytest.approx(0.25, rel=1e-15)
+        assert positive_part_variance("uniform") == pytest.approx(0.3125, rel=1e-15)
+        with pytest.raises(ValueError, match="unknown distribution"):
+            positive_part_variance("cauchy")
+
     def test_gaussian_nu_identification_n64(self):
         spec = LatticeSpec(n=64, L=2, d=2)
         noise = sample_noise(NoiseSpec("gaussian", 31, spec))

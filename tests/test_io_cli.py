@@ -188,6 +188,16 @@ class TestConfigParsing:
                       "--seeds", "1", *bad])
             assert not out.exists()
 
+    def test_abbreviated_flag_is_an_error(self, tmp_path, capsys):
+        # --n and --p prefix only --n-list and --phi: they must not stand for them
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-env", "--n", "4", "--p", "uniform", "--d", "1", "--seeds", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 4 --p uniform" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_is_the_report_scheme(self):
         from pamlab import verify
 
@@ -306,6 +316,32 @@ class TestCommands:
         assert names == {"moment_duality", "martingale_qv", "laplace_functional",
                          "mass_tail", "ordering"}
         assert all(json.loads(l)["passed"] for l in lines)
+
+    def test_verify_one_replica_rejected_before_reports(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="replicas >= 2"):
+            main(["verify", "--out", str(out), "--d", "1", "--n-list", "16",
+                  "--seeds", "101", "--T", "0.05", "--replicas", "1"])
+        assert not (out / "reports.jsonl").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_exploded_suite_writes_strict_json(self, tmp_path, capsys):
+        # cap 1 under K = 4 initial particles explodes every replica: each
+        # test fails, undefined numbers read null in the file and on stdout
+        cfg = parse_config_text(
+            "d=1\nn_list=16\nseeds=101\nT=0.05\nreplicas=3\ncap=1\nL_max=4\n")
+        assert cmd_verify(cfg, str(tmp_path)) == 1
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        lines = (tmp_path / "reports.jsonl").read_text().splitlines()
+        reports = [json.loads(l, parse_constant=reject) for l in lines]
+        assert len(reports) == 5 and not any(r["passed"] for r in reports)
+        assert all(r["exploded"] == 3 and r["replicas"] == 0 for r in reports)
+        stdout = capsys.readouterr().out
+        assert stdout.count("FAIL ") == 5 and "statistic=null" in stdout
+        assert "se=null" in stdout and "nan" not in stdout
 
     def test_survey_csv_format(self, tmp_path):
         cfg = parse_config_text("d=2\nn_list=4\nseeds=1,2\nalpha=0.8\n")

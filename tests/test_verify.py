@@ -112,10 +112,13 @@ class TestDiscreteQvDensity:
 
 class TestLaplaceFunctional:
     def test_zero_phi0_exact_unit(self, env_d1):
+        # every replica of the batch reads exactly one, one replica included
         z = Field.zeros(env_d1.spec)
-        rep = verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=z, replicas=3)
-        assert rep.exact and rep.passed
-        assert rep.statistic == 1.0
+        for replicas in (1, 3):
+            rep = verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=z,
+                                                 replicas=replicas)
+            assert rep.exact and rep.passed
+            assert rep.statistic == 1.0 and rep.replicas == replicas
 
     def test_linear_reduction_zero_potential(self):
         # nu = 0 and xi_e = 0: N is the functional of independent walkers
@@ -131,6 +134,13 @@ class TestLaplaceFunctional:
         phi0 = verify.smooth_bump(env.spec, amplitude=0.3)
         rep = verify.test_laplace_functional(env, L=2, t=0.15, phi0=phi0, replicas=600)
         assert rep.passed
+
+    def test_exploded_batch_fails_without_a_judged_time(self, env_d1):
+        # s = 0 is the reference, so no grid time is judged; explosions still fail
+        phi0 = verify.smooth_bump(env_d1.spec, amplitude=0.3)
+        rep = verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=phi0, replicas=3,
+                                             s_grid=[0.0], cap=1)
+        assert not rep.passed and rep.exploded == 3
 
     def test_rejects_negative_phi0(self, env_d1):
         phi0 = verify.smooth_bump(env_d1.spec)
@@ -175,7 +185,96 @@ class TestOrdering:
         assert rep.extras["atoms_checked"] > 0
 
 
+SAMPLED = ["moment_duality", "martingale_qv", "laplace_functional"]
+
+
+def _all_tests(env, phi, replicas, **kw):
+    """The five replica tests on small fixed inputs, by report name."""
+    return {
+        "moment_duality": lambda: verify.test_moment_duality(
+            env, 2, 0.05, phi, replicas, **kw),
+        "martingale_qv": lambda: verify.test_martingale_qv(env, 2, 0.05, phi, replicas, **kw),
+        "laplace_functional": lambda: verify.test_laplace_functional(
+            env, 2, 0.05, verify.smooth_bump(env.spec, 0.3), replicas, **kw),
+        "mass_tail": lambda: verify.test_mass_tail(env, 2, 0.05, replicas, [1.0, 2.0], **kw),
+        "ordering": lambda: verify.test_ordering(env, [2], 0.05, [0.0, 0.05], replicas, **kw),
+    }
+
+
+class TestReplicaCount:
+    @pytest.mark.parametrize("name", SAMPLED)
+    def test_one_replica_rejected_before_any_runs(self, env_d1, monkeypatch, name):
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(verify, "simulate_replicas", no_replicas)
+        call = _all_tests(env_d1, verify.smooth_bump(env_d1.spec), 1)[name]
+        with pytest.raises(ValueError, match="replicas >= 2"):
+            call()
+
+    def test_exact_tests_accept_one_replica(self, env_d1):
+        phi = verify.smooth_bump(env_d1.spec)
+        assert verify.test_moment_duality(env_d1, 2, 0.0, phi, 1).passed
+        assert verify.test_mass_tail(env_d1, 2, 0.05, 1, [0.5, 8.0]).replicas == 1
+        assert verify.test_ordering(env_d1, [2], 0.05, [0.0, 0.05], 1, L_max=4).passed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["moment_duality", "martingale_qv",
+                                      "laplace_functional", "mass_tail", "ordering"])
+    def test_exploded_report_fails_with_strict_json(self, env_d1, name):
+        # cap 1 is under the K = 4 initial particles: every replica explodes
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        rep = _all_tests(env_d1, verify.smooth_bump(env_d1.spec), 3, cap=1, L_max=4)[name]()
+        assert not rep.passed and rep.exploded == 3
+        payload = json.loads(rep.to_json(), parse_constant=reject)
+        assert payload["passed"] is False and payload["replicas"] == 0
+        if name in SAMPLED:
+            assert payload["se"] is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_unexploded_replica_fails(self, env_d1, monkeypatch):
+        # two replicas, one of them exploded: the standard error is undefined
+        simulate = verify.simulate_replicas
+
+        def explode_first(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            batch.exploded[0] = True
+            return batch
+
+        monkeypatch.setattr(verify, "simulate_replicas", explode_first)
+        phi = verify.smooth_bump(env_d1.spec)
+        rep = verify.test_martingale_qv(env_d1, 2, 0.05, phi, 2)
+        assert not rep.passed and rep.replicas == 1 and rep.se is None
+        assert rep.extras["qv_paired_se"] is None and rep.statistic is not None
+        json.loads(rep.to_json())
+
+
 class TestReportSerialization:
+    def test_non_finite_value_rejected(self):
+        rep = verify.TestReport("demo", float("nan"), 0.0, None, 0, False, "x")
+        with pytest.raises(ValueError):
+            rep.to_json()
+
+    def test_pinned_report_hashes(self):
+        # the hash keys of each test, pinned so that moving their construction
+        # cannot change a config_hash
+        env = build_environment(8, 2, 1, "gaussian", seed=1)
+        tests = _all_tests(env, verify.smooth_bump(env.spec), 2, seed_base=3, L_max=4)
+        got = {name: call().config_hash for name, call in tests.items()}
+        assert got == {
+            "moment_duality": "e4cb1f9cc7dce551",
+            "martingale_qv": "aec48db1f1fc153a",
+            "laplace_functional": "e37f287e0a8ac5a3",
+            "mass_tail": "7f2f1ab6f942349e",
+            "ordering": "85a95cd76cfb6838",
+        }
+        spec = LatticeSpec(n=8, L=2, d=1)
+        flat = PotentialEnvironment(spec, np.full(spec.shape, -1.0))
+        assert verify.test_mass_tail(flat, 2, 0.05, 2, [1.0, 2.0]).config_hash == \
+            "529aae6686026c2d"
+
     def test_jsonl_round_trip(self, tmp_path, env_d1):
         phi = verify.smooth_bump(env_d1.spec)
         rep = verify.test_moment_duality(env_d1, L=2, t=0.0, phi=phi, replicas=3)
