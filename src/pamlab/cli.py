@@ -240,6 +240,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
                 fh.write(f"{float(pair.lam)!r},{float(pair.residual)!r},"
                          f"{float(pair.efunc.values[interior].min())!r}\n")
             manifest.add_output(epath)
+            manifest.derive(f"eigen_solves_n{n}_seed{seed}", pair.iterations)
             manifest.derive(f"kappa_n_n{n}_seed{seed}", repr(env.c_n))
     manifest.write(outdir)
     return 0

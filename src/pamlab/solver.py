@@ -27,9 +27,11 @@ keeps t = 0, the requested times and T.
 The dual solve runs its absorbed chain beside the linear comparison chain
 T_t phi0 and checks 0 <= phi <= T_t phi0 where it reads a state out.
 
-The principal eigenpair is one Lanczos solve on the sparse interior
-Hamiltonian; the same matrix, made dense, gives the matrix-exponential
-scheme that doubles as the convergence oracle for meshes up to n = 16.
+The principal eigenpair is one shift-invert solve: a sparse factorisation
+of sigma I - H, sigma the largest interior potential value, and ARPACK on
+its inverse.  The same interior Hamiltonian, made dense, gives the
+matrix-exponential scheme that doubles as the convergence oracle for meshes
+up to n = 16.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class PamProblem:
     w0: Field
     T: float
     dt: float
-    f: object = None                 # None, Field, or callable t -> Field
     scheme: str = "splitting"
 
     def __post_init__(self):
@@ -95,12 +96,6 @@ class PamProblem:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.w0.is_dirichlet():
             raise ValueError("initial condition must vanish on the boundary")
-
-    def forcing_at(self, t: float):
-        g = self.f(t) if callable(self.f) else self.f
-        if g is not None and not g.is_dirichlet():
-            raise ValueError("forcing must vanish on the boundary")
-        return g
 
 
 @dataclass
@@ -357,16 +352,11 @@ def _dense_solve(problem: PamProblem, grid: np.ndarray, kept: set) -> Trajectory
     spec = problem.env.spec
     H = dense_hamiltonian(problem.env)
     P_full = expm(problem.dt * H)
-    P_half = expm(0.5 * problem.dt * H)
-    sl = spec.interior_slices()
-    w = problem.w0.values[sl].ravel().copy()
+    w = problem.w0.values[spec.interior_slices()].ravel().copy()
     times = [0.0]
     states = [problem.w0.copy()]
     for k in range(1, len(grid)):
         w = P_full @ w
-        g = problem.forcing_at(grid[k - 1] + 0.5 * problem.dt)
-        if g is not None:
-            w = w + problem.dt * (P_half @ g.values[sl].ravel())
         if k in kept:
             times.append(grid[k])
             states.append(_interior_field(spec, w))
@@ -374,19 +364,17 @@ def _dense_solve(problem: PamProblem, grid: np.ndarray, kept: set) -> Trajectory
 
 
 def solve_linear_pam(problem: PamProblem, store_times=None) -> Trajectory:
-    """Trajectory of dw = (Lap_d + xi_e) w + f with w = 0 on the walls.
+    """Trajectory of dw = (Lap_d + xi_e) w with w = 0 on the walls.
 
-    Strang splitting is second order with exact sub-flows; forcing enters
-    through midpoint quadrature propagated by a half step, which preserves
-    the order.  The dense-exponential scheme exponentiates the full interior
-    generator and is exact for f = 0 (up to roundoff).
+    Strang splitting is second order with exact sub-flows.  The
+    dense-exponential scheme exponentiates the full interior generator and
+    is exact (up to roundoff).
 
     The trajectory holds t = 0, each of ``store_times`` and the horizon T;
     a store time off the dt grid or outside [0, T] raises ``ValueError``.
     The splitting runs one chain of merged half-diffusions on the interior
     (one diffusion per step, ``_HeatFlow``) and closes a copy of it only at
-    a stored time; a step with forcing closes the chain, adds the forcing
-    and restarts it.
+    a stored time.
     """
     dt = problem.dt
     grid = time_grid(problem.T, dt)
@@ -395,25 +383,15 @@ def solve_linear_pam(problem: PamProblem, store_times=None) -> Trajectory:
     if problem.scheme == "dense-exponential":
         return _dense_solve(problem, grid, kept)
     spec = problem.env.spec
-    sl = spec.interior_slices()
     chain = _StrangStepper(spec, problem.env.xi_e, dt)
-    chain.restart(problem.w0.values[sl])
-    forcing = None if problem.f is None else _StrangStepper(spec, problem.env.xi_e, 0.5 * dt)
+    chain.restart(problem.w0.values[spec.interior_slices()])
     times = [0.0]
     states = [problem.w0.copy()]
     for k in range(1, len(grid)):
         chain.advance()
-        w = None
-        g = problem.forcing_at(grid[k - 1] + 0.5 * dt)
-        if g is not None:
-            forcing.restart(g.values[sl])
-            forcing.advance()
-            w = chain.state()
-            w += dt * forcing.state()
-            chain.restart(w)
         if k in kept:
             times.append(grid[k])
-            states.append(_interior_field(spec, chain.state() if w is None else w))
+            states.append(_interior_field(spec, chain.state()))
     return Trajectory(np.array(times), states)
 
 
@@ -439,45 +417,52 @@ def apply_hamiltonian(env, u: Field) -> Field:
     return Field(env.spec, out)
 
 
-def principal_eigenpair(env, tol: float = 1e-8, maxit: int = 2000) -> EigenPair:
-    """Largest eigenvalue and positive eigenfunction of H by one Lanczos solve.
+def principal_eigenpair(env, tol: float = 1e-8) -> EigenPair:
+    """Largest eigenvalue and positive eigenfunction of H by one shift-invert solve.
 
-    ARPACK (``eigsh``, k = 1, which = "LA") runs on the sparse Hamiltonian
-    at machine precision with at most ``maxit`` restarts, started from the
-    normalized ones vector: it is strictly positive, so it has a component
-    along the Perron vector, and a fixed start makes repeated calls
-    bit-identical.  The pair is accepted only if the explicit residual
-    ||H v - lambda v||_2 is at most tol * |lambda|; with strict interior
-    positivity this certifies the principal pair (Perron-Frobenius).
-    ``iterations`` counts the applications of H, the residual check included.
+    The shift sigma is the largest interior potential value.  Then
+    sigma I - H = -Lap_dirichlet + (sigma - xi_e) is positive definite,
+    because -Lap_dirichlet is and sigma - xi_e >= 0, so every eigenvalue of H
+    lies below sigma and lambda = sigma - 1/theta, theta the top eigenvalue
+    of (sigma I - H)^{-1}.  One sparse LU factorisation of sigma I - H
+    (SuperLU, minimum-degree ordering on A^T + A) serves ARPACK (``eigsh``,
+    k = 1) on that inverse at machine precision, started from the normalized
+    ones vector: it is strictly positive, so it has a component along the
+    Perron vector, and a fixed start makes repeated calls bit-identical.
+
+    The pair is accepted only if the explicit residual ||H v - lambda v||_2
+    is at most tol * max(|lambda|, 1): H is symmetric, so the residual bounds
+    the distance from lambda to the spectrum, and lambda is certified to
+    relative tol when |lambda| >= 1 and to absolute tol below, where the
+    critical box lambda -> 0 lies.  With strict interior positivity this
+    certifies the principal pair (Perron-Frobenius).  ``iterations`` counts
+    the solves with the factor.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     H = hamiltonian(env)
     size = H.shape[0]
-    applications = 0
-
-    def apply_H(vec):
-        nonlocal applications
-        applications += 1
-        return H @ vec
-
+    solves = 0
     if size == 1:
         lam, v = float(H[0, 0]), np.ones(1)
     else:
-        try:
-            vals, vecs = eigsh(LinearOperator(H.shape, matvec=apply_H, dtype=H.dtype),
-                               k=1, which="LA", v0=np.full(size, size ** -0.5),
-                               tol=0, maxiter=maxit)
-        except ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"Lanczos did not converge in {maxit} restarts; "
-                f"residual tolerance {tol:.1e} not reached") from exc
-        lam, v = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(apply_H(v) - lam * v))
-    if residual > tol * max(abs(lam), 1e-12):
+        sigma = float(np.max(np.asarray(env.xi_e)[env.spec.interior_slices()]))
+        lu = splu((sigma * sparse.identity(size) - H).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+        def solve(vec):
+            nonlocal solves
+            solves += 1
+            return lu.solve(vec)
+
+        vals, vecs = eigsh(LinearOperator(H.shape, matvec=solve, dtype=H.dtype),
+                           k=1, which="LA", v0=np.full(size, size ** -0.5), tol=0)
+        lam, v = sigma - 1.0 / float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(H @ v - lam * v))
+    if residual > tol * max(abs(lam), 1.0):
         raise RuntimeError(
-            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * |lambda| "
+            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * max(|lambda|, 1) "
             f"for lambda {lam:.6e}")
 
     if v.sum() < 0:
@@ -486,7 +471,7 @@ def principal_eigenpair(env, tol: float = 1e-8, maxit: int = 2000) -> EigenPair:
         raise ArithmeticError(
             "principal eigenfunction failed strict interior positivity")
     return EigenPair(lam=lam, efunc=_interior_field(env.spec, v),
-                     residual=residual, iterations=applications)
+                     residual=residual, iterations=solves)
 
 
 def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,

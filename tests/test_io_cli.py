@@ -17,6 +17,7 @@ from pamlab.cli import (
 )
 from pamlab.environment import build_environment
 from pamlab.lattice import Field, LatticeSpec
+from pamlab.solver import principal_eigenpair
 
 
 def rand_field(spec, seed=0):
@@ -251,6 +252,10 @@ class TestCommands:
         assert eig[0] == "lambda,residual,min_interior_value"
         lam, resid, minv = (float(x) for x in eig[1].split(","))
         assert resid <= 1e-8 * abs(lam) and minv > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        env = build_environment(8, max(cfg.L_list), cfg.d, cfg.phi, 1)
+        assert manifest["derived"]["eigen_solves_n8_seed1"] == \
+            principal_eigenpair(env, tol=1e-8).iterations
 
     def test_solve_zero_potential_heat_flow_closed_form(self, tmp_path):
         # zero_potential flag: the dumped trajectory is the pure heat flow

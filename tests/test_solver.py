@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import fft as sfft
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, eigh_tridiagonal, expm
 
 from pamlab import solver
 from pamlab.cli import cmd_solve, parse_config_text
@@ -153,29 +153,6 @@ class TestLinearSolver:
         e2 = np.abs(s2.values - dense.values).max()
         assert e1 < 5e-4
         assert 3.5 < e1 / e2 < 4.5
-
-    def test_forcing_midpoint_second_order(self):
-        env = build_environment(8, 2, 1, "gaussian", 3)
-        spec = env.spec
-        w0 = bump(spec)
-        g = bump(spec, amplitude=0.8)
-        force = lambda t: Field(spec, math.cos(3 * t) * g.values)
-        T = 0.1
-
-        def err(dt):
-            a = solve_linear_pam(PamProblem(env, w0, T=T, dt=dt, f=force)).final
-            b = solve_linear_pam(
-                PamProblem(env, w0, T=T, dt=dt, f=force, scheme="dense-exponential")).final
-            # dense forcing uses the same midpoint rule, so cross-check both
-            # against a much finer dense run
-            ref = solve_linear_pam(
-                PamProblem(env, w0, T=T, dt=T / 3200, f=force, scheme="dense-exponential")).final
-            return np.abs(a.values - ref.values).max(), np.abs(b.values - ref.values).max()
-
-        e_split, e_dense = err(T / 50)
-        e_split2, e_dense2 = err(T / 100)
-        assert 3.0 < e_split / e_split2 < 5.0
-        assert 3.0 < e_dense / e_dense2 < 5.0
 
     def test_dirichlet_wall_enforced_every_state(self):
         env = build_environment(8, 2, 2, "gaussian", 1)
@@ -339,7 +316,34 @@ class TestPrincipalEigenpair:
     def test_nonconvergence_raises_with_residual(self):
         env = build_environment(8, 2, 2, "gaussian", 0)
         with pytest.raises(RuntimeError, match="residual"):
-            principal_eigenpair(env, tol=1e-13, maxit=2)
+            principal_eigenpair(env, tol=1e-17)
+
+    @pytest.mark.parametrize("n, L, sign", [(1024, 2, -1), (256, 8, 1)])
+    def test_long_d1_box_matches_tridiagonal_oracle(self, n, L, sign):
+        # one sub- and one supercritical box whose top spectral gap (7.4 and
+        # 0.30) is about 1e-6 of the spectrum's width 4 n^2; H is tridiagonal
+        # at d = 1, so its top eigenvalue alone is cheap to compute exactly
+        env = build_environment(n, L, 1, "gaussian", 0)
+        H = solver.hamiltonian(env)
+        top = H.shape[0] - 1
+        oracle = eigh_tridiagonal(H.diagonal(), H.diagonal(1), eigvals_only=True,
+                                  select="i", select_range=(top, top))[0]
+        pair = principal_eigenpair(env, tol=1e-8)
+        assert abs(pair.lam - oracle) <= 1e-8 * max(abs(oracle), 1.0)
+        assert np.sign(pair.lam) == sign
+        assert pair.efunc.values[env.spec.interior_slices()].min() > 0
+
+    @pytest.mark.parametrize("n, L, d", [(32, 4, 1), (8, 4, 2)])
+    def test_near_critical_box_accepted(self, n, L, d):
+        # shift the potential so that lambda_1 = 1e-5: the residual is then
+        # judged against the absolute tolerance, not tol * |lambda|
+        env = build_environment(n, L, d, "gaussian", 0)
+        top = eigh(dense_hamiltonian(env), eigvals_only=True)[-1]
+        shifted = solver.PotentialEnvironment(env.spec, env.xi_e + (1e-5 - top))
+        expect = eigh(dense_hamiltonian(shifted), eigvals_only=True)[-1]
+        pair = principal_eigenpair(shifted, tol=1e-8)
+        assert abs(pair.lam - expect) <= 1e-9
+        assert pair.lam == pytest.approx(1e-5, abs=1e-9)
 
 
 class TestDualFkpp:
