@@ -9,7 +9,6 @@ from .lattice import (  # noqa: F401
     Field,
     LatticeSpec,
     TorusField,
-    boundary_sites,
     even_extension,
     extend,
     odd_extension,
@@ -18,7 +17,6 @@ from .lattice import (  # noqa: F401
 from .environment import (  # noqa: F401
     EnhancedEnvironment,
     NoiseRealization,
-    NoiseSpec,
     build_environment,
     enhance,
     sample_noise,

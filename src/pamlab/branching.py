@@ -72,25 +72,22 @@ def ambient_rates(env, L_max: int) -> PotentialEnvironment:
     Site-keyed sampling guarantees the two agree on shared sites; the
     renormalization constant is reused from the environment archive rather
     than recomputed, so the walk/branch rates match the solver's potential
-    exactly on the solve box.
+    exactly on the solve box.  A potential without noise (a
+    ``PotentialEnvironment``) serves only its own box.
     """
-    from .environment import NoiseSpec, sample_noise
+    from .environment import sample_noise
 
     spec = env.spec
     if L_max < spec.L:
         raise ValueError("ambient box must contain the solve box")
     if L_max == spec.L:
         return PotentialEnvironment(spec, np.asarray(env.xi_e).copy())
-    big = LatticeSpec(n=spec.n, L=L_max, d=spec.d)
     if not hasattr(env, "noise"):
-        xi = np.asarray(env.xi_e)
-        if np.all(xi == xi.flat[0]):
-            # constant potentials extend canonically
-            return PotentialEnvironment(big, np.full(big.shape, float(xi.flat[0])))
         raise ValueError(
-            "an explicit non-constant potential cannot be extended; build it "
-            "on the ambient box directly")
-    noise = sample_noise(NoiseSpec(env.noise.distribution, env.noise.seed, big))
+            "a potential without noise cannot be extended; build it on the "
+            "ambient box directly")
+    big = LatticeSpec(n=spec.n, L=L_max, d=spec.d)
+    noise = sample_noise(env.noise.distribution, env.noise.seed, big)
     return PotentialEnvironment(big, noise.values - env.c_n)
 
 
@@ -657,4 +654,7 @@ def read_event_log(path) -> list:
         if header != b"pamlab-events-v1\n":
             raise ValueError(f"not an event log: {path}")
         blob = fh.read()
+    if len(blob) % rec.size:
+        raise ValueError(f"event log {path} is cut: its body of {len(blob)} bytes "
+                         f"is not a whole number of {rec.size}-byte records")
     return [rec.unpack_from(blob, i) for i in range(0, len(blob), rec.size)]

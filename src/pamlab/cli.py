@@ -33,7 +33,7 @@ from .environment import (
 )
 from .solver import (
     PamProblem,
-    _finite_positive,
+    _step_count,
     principal_eigenpair,
     solve_linear_pam,
     time_grid,
@@ -56,7 +56,6 @@ class RunConfig:
     cap: int = 1_000_000
     amp: float = 0.5
     seed_base: int = 0
-    zero_potential: int = 0     # diagnostic: replace xi_e by 0 everywhere
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -67,6 +66,10 @@ class RunConfig:
             raise ValueError("seeds must be given explicitly (no ambient entropy)")
         if not self.n_list:
             raise ValueError("n_list must not be empty")
+        if min(self.n_list) < 1:
+            raise ValueError(f"n_list entries must be positive, got {self.n_list}")
+        if not self.L_list:
+            raise ValueError("L_list must not be empty")
         if self.L_max == 0:
             self.L_max = max(self.L_list)
         for L in self.L_list:
@@ -79,8 +82,7 @@ class RunConfig:
         for f in dataclass_fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        _finite_positive("T", self.T)
-        _finite_positive("dt", self.dt)
+        _step_count(self.T, self.dt)
         if self.alpha == 0.0:
             self.alpha = 0.8 if self.d == 2 else 1.2
         if self.replicas < 1 or self.cap < 1:
@@ -184,11 +186,6 @@ def _env_path(outdir: str, n: int, seed: int) -> str:
 def _load_or_build_env(cfg: RunConfig, outdir: str, n: int, seed: int,
                        L: int | None = None):
     L = max(cfg.L_list) if L is None else L
-    if cfg.zero_potential:
-        from .lattice import LatticeSpec
-        from .solver import zero_environment
-
-        return zero_environment(LatticeSpec(n=n, L=L, d=cfg.d))
     path = _env_path(outdir, n, seed)
     if os.path.exists(path):
         env = pio.read_environment(path)
@@ -212,7 +209,7 @@ def cmd_gen_env(cfg: RunConfig, outdir: str) -> int:
             path = _env_path(outdir, n, seed)
             pio.write_environment(env, path)
             manifest.add_output(path)
-            manifest.derive(f"kappa_n_n{n}", repr(env.kappa_n))
+            manifest.derive(f"kappa_n_n{n}", repr(env.c_n))
             manifest.derive(f"nu_n{n}", repr(env.nu))
     manifest.write(outdir)
     return 0

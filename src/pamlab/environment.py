@@ -118,17 +118,6 @@ def positive_part_variance(distribution: str) -> float:
     return 0.5 - nu_closed_form(distribution) ** 2
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    distribution: str
-    seed: int
-    spec: LatticeSpec
-
-    def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-
-
 @dataclass
 class NoiseRealization:
     """xi^n on the box; n^{-d/2} xi^n(x) has the Phi distribution."""
@@ -160,13 +149,13 @@ def global_site_coords(spec: LatticeSpec):
     return (axis[:, None], axis[None, :])
 
 
-def sample_noise(ns: NoiseSpec) -> NoiseRealization:
-    spec = ns.spec
-    u = site_uniforms(ns.seed, global_site_coords(spec))
+def sample_noise(distribution: str, seed: int, spec: LatticeSpec) -> NoiseRealization:
+    """xi^n on the box of ``spec``; an unknown distribution raises ``ValueError``."""
+    u = site_uniforms(seed, global_site_coords(spec))
     u = np.broadcast_to(u, spec.shape).copy()
-    phi = standard_variates(ns.distribution, u)
+    phi = standard_variates(distribution, u)
     values = spec.n ** (spec.d / 2) * phi
-    return NoiseRealization(spec, values, ns.seed, ns.distribution)
+    return NoiseRealization(spec, values, seed, distribution)
 
 
 def build_X(noise: NoiseRealization) -> Field:
@@ -203,14 +192,14 @@ def build_X(noise: NoiseRealization) -> Field:
 class EnhancedEnvironment:
     """Noise plus the derived objects the solver and simulator consume.
 
-    ``c_n`` equals kappa_n in d = 2 and 0 in d = 1; ``resonant_renormalized``
-    is X o xi - kappa_n (d = 2 only).  ``nu`` is the closed-form E Phi_+.
+    ``c_n`` is the renormalization constant subtracted from the noise: kappa_n
+    in d = 2 and 0 in d = 1.  ``resonant_renormalized`` is X o xi - kappa_n
+    (d = 2 only).  ``nu`` is the closed-form E Phi_+.
     """
 
     noise: NoiseRealization
     X: Field | None
     resonant_renormalized: Field | None
-    kappa_n: float
     c_n: float
     nu: float
 
@@ -255,17 +244,17 @@ def enhance(noise: NoiseRealization) -> EnhancedEnvironment:
     spec = noise.spec
     nu = nu_closed_form(noise.distribution)
     if spec.d == 1:
-        return EnhancedEnvironment(noise, None, None, 0.0, 0.0, nu)
+        return EnhancedEnvironment(noise, None, None, 0.0, nu)
     kappa = renormalization_constant(spec)
     X, renormalized, _, _ = _enhanced_fields(noise, kappa, None)
-    return EnhancedEnvironment(noise, X, renormalized, kappa, kappa, nu)
+    return EnhancedEnvironment(noise, X, renormalized, kappa, nu)
 
 
 def build_environment(n: int, L: int, d: int, distribution: str,
                       seed: int) -> EnhancedEnvironment:
     """Sample and enhance in one call."""
     spec = LatticeSpec(n=n, L=L, d=d)
-    return enhance(sample_noise(NoiseSpec(distribution, seed, spec)))
+    return enhance(sample_noise(distribution, seed, spec))
 
 
 @dataclass
@@ -321,7 +310,7 @@ def regularity_norm_survey(n_list, seeds, alpha: float, eps: float, L: int = 2,
         part = build_partition(spec)
         kappa = renormalization_constant(spec) if d == 2 else 0.0
         for seed in seeds:
-            noise = sample_noise(NoiseSpec(distribution, seed, spec))
+            noise = sample_noise(distribution, seed, spec)
             rows.append(_survey_row(noise, kappa, part, alpha, eps))
     return rows
 

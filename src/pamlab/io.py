@@ -70,7 +70,7 @@ def write_environment(env, path) -> None:
         (
             f"n={noise.spec.n},L={noise.spec.L},d={noise.spec.d},"
             f"phi={noise.distribution},seed={noise.seed},"
-            f"kappa_n={env.kappa_n!r},c_n={env.c_n!r},nu={env.nu!r}"
+            f"kappa_n={env.c_n!r},c_n={env.c_n!r},nu={env.nu!r}"
         ),
     ]
     for name, f in zip(_ENV_BLOCKS, (noise, env.X, env.resonant_renormalized)):
@@ -82,7 +82,8 @@ def write_environment(env, path) -> None:
 
 
 def read_environment(path):
-    """Read an archive back, checking every block against the header line."""
+    """Read an archive back, checking every block against the header line
+    and that the header's ``kappa_n`` and ``c_n`` (one constant) agree."""
     from .environment import EnhancedEnvironment, NoiseRealization
 
     with open(path) as fh:
@@ -93,9 +94,12 @@ def read_environment(path):
         meta = dict(kv.split("=", 1) for kv in lines[1].split(","))
         spec = LatticeSpec(n=int(meta["n"]), L=int(meta["L"]), d=int(meta["d"]))
         seed, phi = int(meta["seed"]), meta["phi"]
-        consts = {k: float(meta[k]) for k in ("kappa_n", "c_n", "nu")}
+        kappa_n, c_n, nu = (float(meta[k]) for k in ("kappa_n", "c_n", "nu"))
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed archive header in {path}: {exc!r}") from None
+    if kappa_n != c_n:
+        raise ValueError(f"archive {path} has kappa_n={kappa_n!r} but c_n={c_n!r}; "
+                         "they must agree")
     starts = [i for i, line in enumerate(lines) if line.startswith("[")]
     if (starts[0] if starts else len(lines)) != 2:
         raise ValueError(f"archive {path} has a line outside any field block")
@@ -109,7 +113,7 @@ def read_environment(path):
         raise ValueError(f"archive {path} has no [xi] block")
     noise = NoiseRealization(spec, blocks["xi"].values, seed, phi)
     return EnhancedEnvironment(noise, blocks.get("X"), blocks.get("resonant_renormalized"),
-                               **consts)
+                               c_n, nu)
 
 
 NORM_REPORT_COLUMNS = ("quantity", "n", "L", "alpha", "p", "q", "flavor", "value", "seed")

@@ -152,19 +152,6 @@ class TorusField:
         return TorusField(self.spec, self.values.copy())
 
 
-def boundary_sites(spec: LatticeSpec) -> set:
-    """All sites of the box with at least one coordinate on a face.
-
-    Returned as tuples of physical coordinates (floats), one per site.
-    """
-    mask = spec.boundary_mask()
-    x = spec.axis_coords()
-    if spec.d == 1:
-        return {(float(x[i]),) for i in np.nonzero(mask)[0]}
-    ii, jj = np.nonzero(mask)
-    return {(float(x[i]), float(x[j])) for i, j in zip(ii, jj)}
-
-
 def reflection_multiplicities(spec: LatticeSpec) -> np.ndarray:
     """Per-axis number of torus sites that reflect onto each box site.
 

@@ -55,14 +55,13 @@ class PotentialEnvironment:
     Used for closed-form tests (zero or constant potential) and, from
     ``branching.ambient_rates``, as the simulator's potential on the ambient
     box; the enhanced environment from :mod:`pamlab.environment` provides
-    the same surface.  The branching intensity defaults to zero (no noise,
-    no branching).
+    the same surface.  With no noise there is no branching intensity: ``nu``
+    is the constant 0, not a field.
     """
 
     spec: LatticeSpec
     xi_e_values: np.ndarray
-    c_n: float = 0.0
-    nu: float = 0.0
+    nu = 0.0
 
     def __post_init__(self):
         if np.shape(self.xi_e_values) != self.spec.shape:
@@ -396,13 +395,14 @@ def solve_linear_pam(problem: PamProblem, store_times=None) -> Trajectory:
 
 
 def semigroup_apply(env, t: float, phi: Field, dt: float = 1e-3) -> Field:
-    """T_t phi = exp(t H) phi; the t = 0 case short-circuits to a copy."""
+    """T_t phi = exp(t H) phi; at t = 0 a copy, once dt is checked."""
     if t < 0:
         raise ValueError("negative times are outside the semigroup")
+    if t != 0.0:
+        _finite_positive("time t", t)
+    _finite_positive("dt", dt)
     if t == 0.0:
         return phi.copy()
-    _finite_positive("time t", t)
-    _finite_positive("dt", dt)
     steps = max(1, int(round(t / dt)))
     problem = PamProblem(env, phi, T=t, dt=t / steps)
     return solve_linear_pam(problem).final
@@ -488,8 +488,9 @@ def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,
     ``ArithmeticError`` on a violation.  With nu = 0 the one chain is w, and
     phi is ``semigroup_apply`` clipped at zero, bit for bit.
 
-    With ``store_times`` a dict {s: Field} of intermediate states is
-    returned (s = 0 maps to a copy of phi0); otherwise the final state.
+    With ``store_times`` a dict {s: Field} of the states at exactly those
+    times is returned (s = 0 maps to a copy of phi0); otherwise the final
+    state.  At t = 0 dt and the store times (each 0) are checked too.
     nu is a scalar or a box array of site-dependent coefficients.  A store
     time off the dt grid or outside [0, t], a non-finite or negative t, a
     non-finite or non-positive dt, a nu of another shape or with a negative
@@ -503,7 +504,10 @@ def solve_dual_fkpp(env, phi0: Field, nu, t: float, dt: float,
         raise ValueError("initial condition must vanish on the boundary")
     spec = env.spec
     if t == 0.0:
-        return {0.0: phi0.copy()} if store_times is not None else phi0.copy()
+        _finite_positive("dt", dt)
+        if any(s != 0 for s in store_times or ()):
+            raise ValueError(f"store times {store_times} must all be 0 at t = 0")
+        return phi0.copy() if store_times is None else {s: phi0.copy() for s in store_times}
     wanted = _grid_steps(store_times, t, dt)
     steps = _step_count(t, dt)
     sl = spec.interior_slices()

@@ -227,28 +227,26 @@ def test_martingale_qv(env, L: int, T: float, phi: Field, replicas: int,
 
 
 def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
-                            s_grid=None, nu: float | None = None,
                             seed_base: int = 0, L_max: int | None = None,
                             cap: int = 1_000_000, dt: float = 1e-3) -> TestReport:
-    """Mean constancy in s of N(s) = exp(-<mu_s, U_{t-s} phi0>).
+    """Mean constancy in s of N(s) = exp(-<mu_s, U_{t-s} phi0>) on the fixed
+    grid s = 0, t/2, t.
 
-    U is the quadratic-absorption dual flow with coefficient nu (defaults to
-    the environment's closed-form value); a negative or non-finite nu raises
-    ``ValueError`` before any replica runs.  The s = 0 value is deterministic
-    (mu_0 = delta_0), so every later grid mean is compared against it at
-    three standard errors.  phi0 = 0 makes N identically one: every replica
-    must read exactly 1.
+    U is the quadratic-absorption dual flow with the environment's
+    coefficient ``env.nu`` (the closed-form E Phi_+, 0 without noise).  The
+    s = 0 value is deterministic (mu_0 = delta_0), so the means at t/2 and t
+    are compared against it at three standard errors.  phi0 = 0 makes N
+    identically one: every replica must read exactly 1.
     """
     if float(np.min(phi0.values)) < 0:
         raise ValueError("the Laplace test function must be nonnegative")
-    nu = env.nu if nu is None else nu
-    s_grid = sorted(float(s) for s in ([0.0, t / 2, t] if s_grid is None else s_grid))
-    U = solve_dual_fkpp(env, phi0, nu, t, dt, store_times=[t - s for s in s_grid])
+    s_grid = [float(s) for s in (0.0, t / 2, t)]
+    U = solve_dual_fkpp(env, phi0, env.nu, t, dt, store_times=[t - s for s in s_grid])
     n0 = math.exp(-float(U[t].values[env.spec.origin_index]))
     exact = float(np.abs(phi0.values).max()) == 0.0
     batch, extend, chash = _replica_batch(
         env, "laplace_functional", [L], t, replicas, seed_base, L_max, cap, s_grid,
-        sampled=not exact, L=L, t=t, nu=nu, s_grid=s_grid, phi=_digest(phi0.values))
+        sampled=not exact, L=L, t=t, nu=env.nu, s_grid=s_grid, phi=_digest(phi0.values))
     arr = np.exp(-np.stack([batch.pairings(ti, L, extend(U[t - s].values))
                             for ti, s in enumerate(s_grid)], axis=1))[~batch.exploded]
     exploded = int(batch.exploded.sum())
@@ -258,11 +256,10 @@ def test_laplace_functional(env, L: int, t: float, phi0: Field, replicas: int,
                           exact=True, exploded=exploded)
     extras = {"n0": n0, "s_grid": s_grid}
     passed = _few_exploded(batch)
-    for j, s in enumerate(s_grid):
+    for j in (1, 2):
         mean, se, ok = _verdict(batch, arr[:, j], n0)
-        if s > 0.0:
-            extras[f"mean_s{j}"], extras[f"se_s{j}"] = mean, se
-            passed = passed and ok
+        extras[f"mean_s{j}"], extras[f"se_s{j}"] = mean, se
+        passed = passed and ok
     # mean and se are those of the last grid time, s = t
     return TestReport("laplace_functional", mean, n0, se, len(arr), passed, chash,
                       exploded=exploded, extras=extras)

@@ -16,7 +16,6 @@ from pamlab import verify
 from pamlab.besov import all_blocks, bony_decomposition, build_partition
 from pamlab.cli import cmd_gen_env, cmd_simulate, cmd_solve, cmd_survey, parse_config_text
 from pamlab.environment import (
-    NoiseSpec,
     build_environment,
     regularity_norm_survey,
     nu_closed_form,
@@ -177,7 +176,7 @@ def test_criterion_04_stochastic_survey():
 
 def test_criterion_05_nu_identification():
     spec = LatticeSpec(n=64, L=2, d=2)
-    noise = sample_noise(NoiseSpec("gaussian", 31, spec))
+    noise = sample_noise("gaussian", 31, spec)
     stats = positive_part_statistics(noise)
     nu = nu_closed_form("gaussian")
     se_pos = math.sqrt(positive_part_variance("gaussian") / stats.site_count)

@@ -26,7 +26,7 @@ from pamlab.besov import (
     time_weighted_norm,
     torus_lp_norm,
 )
-from pamlab.environment import NoiseSpec, enhance, sample_noise
+from pamlab.environment import enhance, sample_noise
 from pamlab.lattice import Field, LatticeSpec, extend, odd_extension
 from pamlab.spectral import (
     basis_field,
@@ -547,7 +547,7 @@ class TestPartitionSpecCheck:
 
     def test_partition_of_another_lattice_rejected(self):
         part = build_partition(self.other_spec)
-        noise = sample_noise(NoiseSpec("gaussian", 3, self.field_spec))
+        noise = sample_noise("gaussian", 3, self.field_spec)
         u = noise.field
         bp = BesovParams(-1.2, flavor="neumann")
         tw = TimeWeightedNormParams(0.0, 1.0, bp)

@@ -69,6 +69,14 @@ class TestDeterminism:
         for (t, p, k, s), (t2, p2, k2, s2) in zip(res.events, back):
             assert (t, p, k, s) == (t2, p2, k2, s2)
 
+    def test_cut_event_log_raises(self, tmp_path):
+        env = build_environment(8, 2, 1, "gaussian", 5)
+        path = tmp_path / "events.bin"
+        write_event_log(simulate(ambient_rates(env, 4), 0.05, seed=3).events, path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="events.bin"):
+            read_event_log(path)
+
 
 class TestZeroEnvironmentPoissonOracle:
     def test_jump_counts_poisson_mean(self):
@@ -286,6 +294,10 @@ class TestExplosionCap:
             rates = ambient_rates(env, L_max)
             assert isinstance(rates, PotentialEnvironment)
             assert rates.spec == LatticeSpec(n=8, L=L_max, d=1)
+
+    def test_potential_without_noise_not_extended(self):
+        with pytest.raises(ValueError, match="without noise"):
+            ambient_rates(flat_rates(4, 2, 1, -1.0), 4)
 
     def test_misshaped_potential_rejected(self):
         spec = LatticeSpec(n=4, L=2, d=1)

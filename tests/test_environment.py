@@ -7,7 +7,6 @@ import pytest
 from pamlab.besov import BesovParams, besov_norm, build_partition, lp_norm, resonant
 from pamlab.environment import (
     NoiseRealization,
-    NoiseSpec,
     build_X,
     build_environment,
     enhance,
@@ -36,21 +35,21 @@ from pamlab.spectral import (
 class TestSiteKeyedSampling:
     def test_same_seed_bit_identical(self):
         spec = LatticeSpec(n=8, L=2, d=2)
-        a = sample_noise(NoiseSpec("gaussian", 42, spec))
-        b = sample_noise(NoiseSpec("gaussian", 42, spec))
+        a = sample_noise("gaussian", 42, spec)
+        b = sample_noise("gaussian", 42, spec)
         assert np.array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self):
         spec = LatticeSpec(n=8, L=2, d=2)
-        a = sample_noise(NoiseSpec("gaussian", 1, spec))
-        b = sample_noise(NoiseSpec("gaussian", 2, spec))
+        a = sample_noise("gaussian", 1, spec)
+        b = sample_noise("gaussian", 2, spec)
         assert not np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_enlarging_the_box_extends_the_environment(self, d):
         # coupling requirement: one seed serves every box size
-        small = sample_noise(NoiseSpec("gaussian", 7, LatticeSpec(n=4, L=2, d=d)))
-        large = sample_noise(NoiseSpec("gaussian", 7, LatticeSpec(n=4, L=6, d=d)))
+        small = sample_noise("gaussian", 7, LatticeSpec(n=4, L=2, d=d))
+        large = sample_noise("gaussian", 7, LatticeSpec(n=4, L=6, d=d))
         off = (6 - 2) // 2 * 4  # index offset of the small box inside the large
         P = 2 * 4
         sl = (slice(off, off + P + 1),) * d
@@ -64,25 +63,25 @@ class TestSiteKeyedSampling:
 
     def test_rademacher_support(self):
         spec = LatticeSpec(n=8, L=2, d=2)
-        noise = sample_noise(NoiseSpec("rademacher", 3, spec))
+        noise = sample_noise("rademacher", 3, spec)
         assert set(np.unique(noise.scaled())) == {-1.0, 1.0}
 
     def test_gaussian_sample_mean_clt_bound(self):
         spec = LatticeSpec(n=32, L=2, d=2)
-        noise = sample_noise(NoiseSpec("gaussian", 11, spec))
+        noise = sample_noise("gaussian", 11, spec)
         scaled = noise.scaled()
         assert abs(scaled.mean()) < 4.0 / math.sqrt(scaled.size)
 
     def test_gaussian_moments(self):
         spec = LatticeSpec(n=64, L=2, d=2)
-        z = sample_noise(NoiseSpec("gaussian", 5, spec)).scaled().ravel()
+        z = sample_noise("gaussian", 5, spec).scaled().ravel()
         m = z.size
         assert abs(z.var() - 1.0) < 5.0 / math.sqrt(m)
         assert abs((z ** 3).mean()) < 5.0 * math.sqrt(15.0 / m)
 
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError):
-            NoiseSpec("cauchy", 0, LatticeSpec(n=2, L=2, d=1))
+            sample_noise("cauchy", 0, LatticeSpec(n=2, L=2, d=1))
 
 
 class TestBuildX:
@@ -103,7 +102,7 @@ class TestBuildX:
 
     def test_residual_against_dense_transform_oracle(self):
         spec = LatticeSpec(n=8, L=2, d=2)
-        noise = sample_noise(NoiseSpec("gaussian", 21, spec))
+        noise = sample_noise("gaussian", 21, spec)
         X = build_X(noise)
         # dense oracle: expand xi in the dense Neumann basis, divide symbols
         chi = default_cutoff()
@@ -137,7 +136,7 @@ class TestBuildX:
 
         monkeypatch.setattr(environment, "forward_transform", counting)
         monkeypatch.setattr(spectral, "forward_transform", counting)
-        noise = sample_noise(NoiseSpec("gaussian", 5, LatticeSpec(n=8, L=2, d=2)))
+        noise = sample_noise("gaussian", 5, LatticeSpec(n=8, L=2, d=2))
         X = build_X(noise)
         assert calls == ["neumann"]
         rhs = fourier_multiplier(default_cutoff(), noise.field, "neumann")
@@ -149,7 +148,7 @@ class TestEnhance:
     def test_d1_skips_resonant_part(self):
         env = build_environment(n=16, L=2, d=1, distribution="gaussian", seed=0)
         assert env.resonant_renormalized is None
-        assert env.c_n == 0.0 and env.kappa_n == 0.0
+        assert env.c_n == 0.0
         assert env.X is None
 
     def test_zero_noise_resonant_is_minus_kappa(self):
@@ -157,7 +156,7 @@ class TestEnhance:
         noise = NoiseRealization(spec, np.zeros(spec.shape), 0, "gaussian")
         env = enhance(noise)
         kap = renormalization_constant(spec)
-        assert env.kappa_n == pytest.approx(kap, abs=1e-12)
+        assert env.c_n == pytest.approx(kap, abs=1e-12)
         assert np.abs(env.resonant_renormalized.values + kap).max() < 1e-12
 
     def test_seed_determinism_of_enhancement(self):
@@ -166,16 +165,16 @@ class TestEnhance:
         assert np.array_equal(a.noise.values, b.noise.values)
         assert np.array_equal(a.X.values, b.X.values)
         assert np.array_equal(a.resonant_renormalized.values, b.resonant_renormalized.values)
-        assert a.kappa_n == b.kappa_n
+        assert a.c_n == b.c_n
 
     def test_kappa_matches_direct_dual_sum(self):
         env = build_environment(8, 2, 2, "gaussian", 9)
         direct = renormalization_constant(env.spec)
-        assert abs(env.kappa_n - direct) < 1e-12
+        assert abs(env.c_n - direct) < 1e-12
 
     def test_xi_e_shifts_by_c_n(self):
         env = build_environment(8, 2, 2, "gaussian", 2)
-        assert np.allclose(env.xi_e, env.noise.values - env.kappa_n, atol=0)
+        assert np.allclose(env.xi_e, env.noise.values - env.c_n, atol=0)
 
 
 class TestPositivePartStatistics:
@@ -190,7 +189,7 @@ class TestPositivePartStatistics:
 
     def test_gaussian_nu_identification_n64(self):
         spec = LatticeSpec(n=64, L=2, d=2)
-        noise = sample_noise(NoiseSpec("gaussian", 31, spec))
+        noise = sample_noise("gaussian", 31, spec)
         stats = positive_part_statistics(noise)
         nu = nu_closed_form("gaussian")
         se = math.sqrt(positive_part_variance("gaussian") / stats.site_count)
@@ -202,7 +201,7 @@ class TestPositivePartStatistics:
     def test_rademacher_nu_is_half(self):
         assert nu_closed_form("rademacher") == 0.5
         spec = LatticeSpec(n=32, L=2, d=2)
-        stats = positive_part_statistics(sample_noise(NoiseSpec("rademacher", 4, spec)))
+        stats = positive_part_statistics(sample_noise("rademacher", 4, spec))
         se = math.sqrt(positive_part_variance("rademacher") / stats.site_count)
         assert abs(stats.pos_mean - 0.5) <= 3 * se
 
@@ -210,7 +209,7 @@ class TestPositivePartStatistics:
         # identity for any realization: |x| = x_+ + x_- and E Phi = 0 only
         # links the means in expectation; empirically they track closely
         spec = LatticeSpec(n=64, L=2, d=2)
-        stats = positive_part_statistics(sample_noise(NoiseSpec("uniform", 8, spec)))
+        stats = positive_part_statistics(sample_noise("uniform", 8, spec))
         assert stats.abs_mean == pytest.approx(
             2 * stats.pos_mean, abs=6.0 / math.sqrt(stats.site_count))
 
@@ -245,7 +244,7 @@ def survey_oracle(n, seed, alpha, eps, d, distribution="gaussian"):
     field, and the raw resonant product built as renormalized + kappa."""
     spec = LatticeSpec(n=n, L=2, d=d)
     part = build_partition(spec)
-    noise = sample_noise(NoiseSpec(distribution, seed, spec))
+    noise = sample_noise(distribution, seed, spec)
     pos = positive_part_statistics(noise).field
     nan = float("nan")
     row = {"n": n, "seed": seed, "alpha": alpha, "eps": eps, "kappa_n": 0.0,

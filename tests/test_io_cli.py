@@ -20,6 +20,47 @@ from pamlab.lattice import Field, LatticeSpec
 from pamlab.solver import principal_eigenpair
 
 
+# build_environment(1, 2, 2, "gaussian", 11) as archived by the format's
+# first writer, which kept kappa_n and c_n as two stored values
+EARLIER_ARCHIVE = """\
+pamlab-env-v1
+n=1,L=2,d=2,phi=gaussian,seed=11,kappa_n=0.10212161658731667,c_n=0.10212161658731667,nu=0.3989422804014327
+[xi]
+1,2,2,neumann
+0,0.8356679191899973
+1,1.1157084137433602
+2,0.7243973303412233
+3,1.7218679594252733
+4,-1.1549921830970904
+5,-1.1096528177966252
+6,-1.292592777289173
+7,-0.706634995005104
+8,-1.3677189424769574
+[X]
+1,2,2,neumann
+0,-0.051985498406828645
+1,0.035956912516402206
+2,0.17466159939731601
+3,0.18743993938202747
+4,-0.17063813571852254
+5,-0.040753593968274146
+6,-0.0775190236113366
+7,0.059944002174753194
+8,0.15222094528512198
+[resonant_renormalized]
+1,2,2,neumann
+0,-0.1455642298690061
+1,-0.06200418676053278
+2,0.024402779729227303
+3,0.220625209351212
+4,0.0949640963058373
+5,-0.05689927620508173
+6,-0.0019210865647941028
+7,-0.14448014626465933
+8,-0.3103170868955265
+"""
+
+
 def rand_field(spec, seed=0):
     rng = np.random.default_rng(seed)
     return Field(spec, rng.normal(size=spec.shape))
@@ -46,7 +87,6 @@ class TestEnvironmentArchive:
         pio.write_environment(env, path)
         back = pio.read_environment(path)
         assert np.array_equal(back.noise.values, env.noise.values)
-        assert back.kappa_n == env.kappa_n
         assert back.c_n == env.c_n and back.nu == env.nu
         assert back.noise.seed == env.noise.seed
         if d == 2:
@@ -55,6 +95,25 @@ class TestEnvironmentArchive:
                                   env.resonant_renormalized.values)
         else:
             assert back.X is None and back.resonant_renormalized is None
+
+    def test_earlier_archive_reads_back(self, tmp_path):
+        path = tmp_path / "env.txt"
+        path.write_text(EARLIER_ARCHIVE)
+        back = pio.read_environment(path)
+        env = build_environment(1, 2, 2, "gaussian", 11)
+        assert back.c_n == env.c_n == 0.10212161658731667
+        assert back.nu == env.nu
+        for name in ("X", "resonant_renormalized"):
+            assert np.array_equal(getattr(back, name).values, getattr(env, name).values)
+        assert np.array_equal(back.noise.values, env.noise.values)
+        pio.write_environment(back, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == EARLIER_ARCHIVE
+
+    def test_disagreeing_constants_rejected(self, tmp_path):
+        path = tmp_path / "env.txt"
+        path.write_text(EARLIER_ARCHIVE.replace("c_n=0.10212161658731667", "c_n=0.0"))
+        with pytest.raises(ValueError, match="env.txt.*must agree"):
+            pio.read_environment(path)
 
 
 class TestMalformedDumps:
@@ -125,6 +184,7 @@ class TestConfigParsing:
         assert cfg.alpha == 0.8  # d-dependent default
         assert cfg.L_max == 2
         assert cfg.phi == "gaussian"
+        assert (cfg.T, cfg.dt) == (0.25, 0.001)  # the README and benchmark time grid
 
     def test_unknown_key_rejected(self):
         # the survey's norm exponents p, q are fixed per quantity: no key
@@ -153,7 +213,7 @@ class TestConfigParsing:
         monkeypatch.setitem(cli.COMMANDS, "solve", lambda cfg, out: seen.append(cfg) or 0)
         text = ("d=2\nn_list=4,8\nseeds=3\nphi=uniform\nL_list=2,4\nL_max=6\n"
                 "alpha=0.7\neps=0.2\nT=0.1\ndt=0.002\nreplicas=9\n"
-                "cap=50\namp=0.3\nseed_base=5\nzero_potential=1\n")
+                "cap=50\namp=0.3\nseed_base=5\n")
         argv = ["solve", "--out", str(tmp_path)]
         for line in text.splitlines():
             key, val = line.split("=")
@@ -188,6 +248,25 @@ class TestConfigParsing:
                 main(["gen-env", "--out", str(out), "--d", "1", "--n-list", "4",
                       "--seeds", "1", *bad])
             assert not out.exists()
+
+    @pytest.mark.parametrize("keys, match", [
+        ({"n_list": "4,-2"}, "n_list"),
+        ({"n_list": "0"}, "n_list"),
+        ({"n_list": "4", "L_list": ""}, "L_list"),
+        ({"n_list": "4", "L_list": "", "L_max": "4"}, "L_list"),
+        ({"n_list": "4", "T": "0.25", "dt": "0.1"}, "not an integer multiple of dt"),
+    ], ids=["negative-n", "zero-n", "empty-L_list", "empty-L_list-with-L_max",
+            "T-off-dt-grid"])
+    def test_inconsistent_config_fails_before_work(self, tmp_path, keys, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config_text("d=1\nseeds=1\n" + "".join(f"{k}={v}\n" for k, v in keys.items()))
+        out = tmp_path / "out"
+        argv = ["solve", "--out", str(out), "--d", "1", "--seeds", "1"]
+        for k, v in keys.items():
+            argv += ["--" + k.replace("_", "-"), v]
+        with pytest.raises(ValueError, match=match):
+            main(argv)
+        assert not out.exists()
 
     def test_abbreviated_flag_is_an_error(self, tmp_path, capsys):
         # --n and --p prefix only --n-list and --phi: they must not stand for them
@@ -256,24 +335,6 @@ class TestCommands:
         env = build_environment(8, max(cfg.L_list), cfg.d, cfg.phi, 1)
         assert manifest["derived"]["eigen_solves_n8_seed1"] == \
             principal_eigenpair(env, tol=1e-8).iterations
-
-    def test_solve_zero_potential_heat_flow_closed_form(self, tmp_path):
-        # zero_potential flag: the dumped trajectory is the pure heat flow
-        cfg = parse_config_text(
-            "d=1\nn_list=8\nseeds=1\nT=0.1\ndt=0.001\nzero_potential=1\n")
-        assert cmd_solve(cfg, str(tmp_path)) == 0
-        final, _ = pio.read_field_text(tmp_path / "traj_n8_seed1_T.field")
-        spec = final.spec
-        from pamlab.spectral import forward_transform, inverse_transform, \
-            frequency_grid, laplacian_symbol
-        from pamlab.verify import smooth_bump
-
-        w0 = smooth_bump(spec, cfg.amp)
-        c = forward_transform(w0, "dirichlet")
-        lam = laplacian_symbol(frequency_grid(spec, "dirichlet"), spec.n)
-        c.coeffs = c.coeffs * np.exp(lam * cfg.T)
-        closed = inverse_transform(c)
-        assert np.abs(final.values - closed.values).max() < 1e-12
 
     def test_simulate_reuses_archived_kappa(self, tmp_path):
         cfg = parse_config_text(

@@ -5,7 +5,6 @@ from pamlab.lattice import (
     Field,
     LatticeSpec,
     TorusField,
-    boundary_sites,
     even_extension,
     odd_extension,
     restrict,
@@ -45,25 +44,27 @@ class TestLatticeSpec:
 class TestBoundarySites:
     def test_1d_interval_endpoints(self):
         spec = LatticeSpec(n=2, L=2, d=1)
-        assert boundary_sites(spec) == {(-1.0,), (1.0,)}
+        mask = spec.boundary_mask()
+        assert set(spec.axis_coords()[mask].tolist()) == {-1.0, 1.0}
 
     def test_2d_small_box_all_but_center(self):
         spec = LatticeSpec(n=1, L=2, d=2)
         # 3x3 sites, only the origin is interior
-        assert len(boundary_sites(spec)) == 8
+        mask = spec.boundary_mask()
+        assert mask.sum() == 8 and not mask[spec.origin_index]
 
     def test_2d_count_matches_enumeration_oracle(self):
         spec = LatticeSpec(n=4, L=4, d=2)
-        # enumeration oracle: count sites with a coordinate on a face
+        # enumeration oracle: the sites with a coordinate on a face
         P = spec.L * spec.n
-        count = sum(
-            1
+        oracle = {
+            (i, j)
             for i in range(P + 1)
             for j in range(P + 1)
             if i in (0, P) or j in (0, P)
-        )
-        assert count == (P + 1) ** 2 - (P - 1) ** 2 == 4 * P
-        assert len(boundary_sites(spec)) == count
+        }
+        assert len(oracle) == (P + 1) ** 2 - (P - 1) ** 2 == 4 * P
+        assert set(map(tuple, np.argwhere(spec.boundary_mask()).tolist())) == oracle
 
 
 class TestExtensions:

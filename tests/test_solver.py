@@ -627,6 +627,30 @@ class TestStepValidation:
         with pytest.raises(ValueError, match="finite and positive, got"):
             solve_dual_fkpp(env, bump(env.spec), 0.5, t, dt)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_zero_time_checks_dt(self, dt):
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        phi = bump(env.spec)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            semigroup_apply(env, 0.0, phi, dt)
+        for store_times in (None, [0.0]):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                solve_dual_fkpp(env, phi, 0.5, 0.0, dt, store_times=store_times)
+
+    def test_zero_time_rejects_later_store_time(self):
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        with pytest.raises(ValueError, match=r"store times \[0.5\]"):
+            solve_dual_fkpp(env, bump(env.spec), 0.5, 0.0, 1e-3, store_times=[0.5])
+
+    @pytest.mark.parametrize("t", [0.0, 0.01])
+    def test_store_times_are_the_keys(self, t):
+        # at t = 0 as at t > 0: exactly the requested times, none added
+        env = build_environment(4, 2, 1, "gaussian", 0)
+        phi = bump(env.spec)
+        assert solve_dual_fkpp(env, phi, 0.5, t, 1e-3, store_times=[]) == {}
+        got = solve_dual_fkpp(env, phi, 0.5, t, 1e-3, store_times=[0.0])
+        assert list(got) == [0.0] and np.array_equal(got[0.0].values, phi.values)
+
 
 class TestTimeWeightedStability:
     def test_solution_norms_stable_across_meshes(self):

@@ -121,12 +121,11 @@ class TestLaplaceFunctional:
             assert rep.statistic == 1.0 and rep.replicas == replicas
 
     def test_linear_reduction_zero_potential(self):
-        # nu = 0 and xi_e = 0: N is the functional of independent walkers
+        # nu = 0 (no noise) and xi_e = 0: N is the functional of independent walkers
         spec = LatticeSpec(n=16, L=2, d=1)
         env = zero_environment(spec)
         phi0 = verify.smooth_bump(spec, amplitude=0.3)
-        rep = verify.test_laplace_functional(
-            env, L=2, t=0.1, phi0=phi0, replicas=600, nu=0.0)
+        rep = verify.test_laplace_functional(env, L=2, t=0.1, phi0=phi0, replicas=600)
         assert rep.passed
 
     def test_full_pipeline_small(self):
@@ -135,24 +134,11 @@ class TestLaplaceFunctional:
         rep = verify.test_laplace_functional(env, L=2, t=0.15, phi0=phi0, replicas=600)
         assert rep.passed
 
-    def test_exploded_batch_fails_without_a_judged_time(self, env_d1):
-        # s = 0 is the reference, so no grid time is judged; explosions still fail
-        phi0 = verify.smooth_bump(env_d1.spec, amplitude=0.3)
-        rep = verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=phi0, replicas=3,
-                                             s_grid=[0.0], cap=1)
-        assert not rep.passed and rep.exploded == 3
-
     def test_rejects_negative_phi0(self, env_d1):
         phi0 = verify.smooth_bump(env_d1.spec)
         phi0.values[3] = -0.2
         with pytest.raises(ValueError):
             verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=phi0, replicas=2)
-
-    def test_rejects_negative_nu(self, env_d1):
-        phi0 = verify.smooth_bump(env_d1.spec)
-        with pytest.raises(ValueError, match="nu"):
-            verify.test_laplace_functional(env_d1, L=2, t=0.1, phi0=phi0, replicas=2,
-                                           nu=-1.0)
 
 
 class TestMassTail:
@@ -312,16 +298,11 @@ class TestReportSerialization:
 
     def test_report_hash_names_time_grids(self):
         env = build_environment(8, 2, 1, "gaussian", seed=1)
-        z = Field.zeros(env.spec)
-        laplace = [verify.test_laplace_functional(env, L=2, t=0.1, phi0=z, replicas=2,
-                                                  s_grid=grid).config_hash
-                   for grid in ([0.0, 0.1], [0.0, 0.05, 0.1], [0.0, 0.1])]
-        ordering = [verify.test_ordering(env, Ls=[2], T=0.02, snapshot_times=snaps,
-                                         replicas=2, L_max=4).config_hash
-                    for snaps in ([0.0, 0.02], [0.0, 0.01, 0.02], [0.0, 0.02])]
-        for hashes in (laplace, ordering):
-            assert hashes[0] != hashes[1]
-            assert hashes[0] == hashes[2]
+        hashes = [verify.test_ordering(env, Ls=[2], T=0.02, snapshot_times=snaps,
+                                       replicas=2, L_max=4).config_hash
+                  for snaps in ([0.0, 0.02], [0.0, 0.01, 0.02], [0.0, 0.02])]
+        assert hashes[0] != hashes[1]
+        assert hashes[0] == hashes[2]
 
     def test_config_hash_stable(self):
         a = verify.config_hash(test="t", n=8)
