@@ -286,24 +286,24 @@ def cmd_verify(cfg: RunConfig, outdir: str) -> int:
     manifest = RunManifest("verify", cfg)
     reports = []
     L = cfg.L_list[0]
+    kw = {"seed_base": cfg.seed_base, "cap": cfg.cap}
     for n in sorted(cfg.n_list):
         seed = sorted(cfg.seeds)[0]
         env = _load_or_build_env(cfg, outdir, n, seed, L=L)
         phi = pverify.smooth_bump(env.spec, cfg.amp)
-        reports.append(pverify.test_moment_duality(
-            env, L, cfg.T, phi, cfg.replicas, seed_base=cfg.seed_base, cap=cfg.cap))
-        reports.append(pverify.test_martingale_qv(
-            env, L, cfg.T, phi, cfg.replicas, seed_base=cfg.seed_base, cap=cfg.cap))
-        reports.append(pverify.test_laplace_functional(
-            env, L, cfg.T, pverify.smooth_bump(env.spec, min(cfg.amp, 0.4)),
-            cfg.replicas, seed_base=cfg.seed_base, cap=cfg.cap, dt=cfg.dt))
-        reports.append(pverify.test_mass_tail(
-            env, L, cfg.T, cfg.replicas, R_grid=[1.0, 2.0, 4.0, 8.0],
-            seed_base=cfg.seed_base, L_max=cfg.L_max, cap=cfg.cap))
-        reports.append(pverify.test_ordering(
-            env, cfg.L_list, cfg.T, [0.0, cfg.T / 2, cfg.T],
-            min(cfg.replicas, 200), seed_base=cfg.seed_base, L_max=cfg.L_max,
-            cap=cfg.cap))
+        suite, batches = pverify.run_suite(env, [
+            pverify.moment_duality_request(env, L, cfg.T, phi, cfg.replicas, **kw),
+            pverify.martingale_qv_request(env, L, cfg.T, phi, cfg.replicas, **kw),
+            pverify.laplace_functional_request(
+                env, L, cfg.T, pverify.smooth_bump(env.spec, min(cfg.amp, 0.4)),
+                cfg.replicas, dt=cfg.dt, **kw),
+            pverify.mass_tail_request(env, L, cfg.T, cfg.replicas, [1.0, 2.0, 4.0, 8.0],
+                                      L_max=cfg.L_max, **kw),
+            pverify.ordering_request(env, cfg.L_list, cfg.T, [0.0, cfg.T / 2, cfg.T],
+                                     min(cfg.replicas, 200), L_max=cfg.L_max, **kw),
+        ])
+        reports += suite
+        manifest.derive(f"verify_batches_n{n}", batches)
     path = os.path.join(outdir, "reports.jsonl")
     failures = pverify.write_reports_jsonl(reports, path)
     manifest.add_output(path)

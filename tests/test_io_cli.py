@@ -383,6 +383,16 @@ class TestCommands:
                          "mass_tail", "ordering"}
         assert all(json.loads(l)["passed"] for l in lines)
 
+    @pytest.mark.parametrize("replicas,batches", [(60, 2), (250, 3)])
+    def test_verify_records_its_batches(self, tmp_path, replicas, batches):
+        # the ordering test's min(replicas, 200) seeds are a batch of their own
+        cfg = parse_config_text(
+            f"d=1\nn_list=4,8\nseeds=1\nT=0.05\nreplicas={replicas}\n"
+            "L_list=2\nL_max=4\n")
+        cmd_verify(cfg, str(tmp_path))
+        derived = json.loads((tmp_path / "manifest.json").read_text())["derived"]
+        assert derived["verify_batches_n4"] == derived["verify_batches_n8"] == batches
+
     def test_verify_one_replica_rejected_before_reports(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="replicas >= 2"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,15 @@ class TestMomentDuality:
         rep = verify.test_moment_duality(env_d1, L=2, t=0.0, phi=phi, replicas=5)
         assert rep.exact and rep.passed
         assert rep.statistic == rep.reference
+
+    def test_t_zero_exact_when_K_is_not_a_power_of_two(self):
+        # K = floor(sqrt(32)) = 5, and (1/5) * (5 * 0.3) rounds to 0.30000000000000004
+        env = build_environment(32, 2, 1, "gaussian", seed=3)
+        assert particle_count(env.spec) == 5
+        rep = verify.test_moment_duality(env, L=2, t=0.0,
+                                         phi=verify.smooth_bump(env.spec, 0.3), replicas=5)
+        assert rep.exact and rep.passed and rep.replicas == 5
+        assert rep.statistic == rep.reference == 0.3
 
     def test_zero_potential_heat_kernel(self):
         spec = LatticeSpec(n=16, L=2, d=1)
@@ -120,6 +130,14 @@ class TestLaplaceFunctional:
             assert rep.exact and rep.passed
             assert rep.statistic == 1.0 and rep.replicas == replicas
 
+    def test_t_zero_is_exact(self):
+        env = build_environment(8, 2, 1, "gaussian", seed=1)
+        phi0 = verify.smooth_bump(env.spec, 0.3)
+        rep = verify.test_laplace_functional(env, L=2, t=0.0, phi0=phi0, replicas=3)
+        assert rep.exact and rep.passed and rep.replicas == 3
+        u0 = float(phi0.values[env.spec.origin_index])
+        assert rep.statistic == rep.reference == np.exp(-u0)
+
     def test_linear_reduction_zero_potential(self):
         # nu = 0 (no noise) and xi_e = 0: N is the functional of independent walkers
         spec = LatticeSpec(n=16, L=2, d=1)
@@ -185,6 +203,69 @@ def _all_tests(env, phi, replicas, **kw):
         "mass_tail": lambda: verify.test_mass_tail(env, 2, 0.05, replicas, [1.0, 2.0], **kw),
         "ordering": lambda: verify.test_ordering(env, [2], 0.05, [0.0, 0.05], replicas, **kw),
     }
+
+
+def _suite_requests(env, T, replicas, L_max):
+    """The five requests of one ``pamlab verify`` n (L = 2), and the same
+    tests as five public calls."""
+    phi, phi0 = verify.smooth_bump(env.spec, 0.5), verify.smooth_bump(env.spec, 0.4)
+    kw = {"seed_base": 7, "cap": 1_000_000}
+    requests = [
+        verify.moment_duality_request(env, 2, T, phi, replicas, **kw),
+        verify.martingale_qv_request(env, 2, T, phi, replicas, **kw),
+        verify.laplace_functional_request(env, 2, T, phi0, replicas, **kw),
+        verify.mass_tail_request(env, 2, T, replicas, [1.0, 2.0, 4.0, 8.0],
+                                 L_max=L_max, **kw),
+        verify.ordering_request(env, [2], T, [0.0, T / 2, T], min(replicas, 200),
+                                L_max=L_max, **kw),
+    ]
+    calls = [
+        lambda: verify.test_moment_duality(env, 2, T, phi, replicas, **kw),
+        lambda: verify.test_martingale_qv(env, 2, T, phi, replicas, **kw),
+        lambda: verify.test_laplace_functional(env, 2, T, phi0, replicas, **kw),
+        lambda: verify.test_mass_tail(env, 2, T, replicas, [1.0, 2.0, 4.0, 8.0],
+                                      L_max=L_max, **kw),
+        lambda: verify.test_ordering(env, [2], T, [0.0, T / 2, T], min(replicas, 200),
+                                     L_max=L_max, **kw),
+    ]
+    return requests, calls
+
+
+class TestSuite:
+    @pytest.mark.parametrize("d,n", [(1, 8), (2, 4)])
+    @pytest.mark.parametrize("replicas,batches", [(60, 2), (250, 3)])
+    def test_suite_matches_separate_calls(self, d, n, replicas, batches):
+        env = build_environment(n, 2, d, "gaussian", seed=5)
+        requests, calls = _suite_requests(env, 0.1, replicas, L_max=4)
+        reports, ran = verify.run_suite(env, requests)
+        assert ran == batches
+        assert [r.to_json() for r in reports] == [call().to_json() for call in calls]
+
+    def test_judges_ignore_extra_time_and_box(self):
+        # all five on one ambient box, so one batch; an extra request adds
+        # box 4 between the ordering's 2 and 6, and a snapshot time (0.03)
+        # that none of the tests asked for
+        env = build_environment(8, 2, 1, "gaussian", seed=1)
+        requests = _suite_requests(env, 0.05, 40, L_max=6)[0]
+        requests = [dataclasses.replace(r, L_max=6) for r in requests]
+        alone = [verify.run_suite(env, [r])[0][0].to_json() for r in requests]
+        extra = verify.Request(boxes=(4,), times=(0.03,), site_funcs={}, horizon=0.05,
+                               seeds=requests[0].seeds, cap=requests[0].cap, L_max=6,
+                               judge=lambda batch: None)
+        reports, ran = verify.run_suite(env, requests + [extra])
+        assert ran == 1
+        assert [r.to_json() for r in reports[:5]] == alone
+        assert json.loads(alone[4])["atoms_checked"] > 0
+
+    def test_site_function_clash_raises_before_any_replica(self, env_d1, monkeypatch):
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(verify, "simulate_replicas", no_replicas)
+        phi = verify.smooth_bump(env_d1.spec)
+        request = verify.martingale_qv_request(env_d1, 2, 0.05, phi, 2)
+        with pytest.raises(ValueError, match="site function 'H'"):
+            verify.run_suite(env_d1, [request, request])
 
 
 class TestReplicaCount:
