@@ -22,6 +22,18 @@ box-L kill never enter the box-L process (kills are inherited).  Both facts
 together make each projection a Markov process with the killed generator
 while keeping, pathwise, the measure ordering in L.
 
+The engine keeps the live particles in preallocated slot arrays, in
+creation order.  A particle that ends leaves its slot dead (at an extra
+site where every draw is a jump that stays put, with time NaN) rather than
+rebuilding the arrays; children take the slots after the last one, and the
+slots are compacted, in order, once a quarter of them are dead.  A particle
+carries the time of its next snapshot, so a crossing is one comparison, and
+its kill reach, the sup-norm of the next shell it can be killed at, so the
+shells are checked only for particles that jump that far.  Each site
+function has one prefix integral per particle, whatever the number of
+boxes: it is copied to box L at the particle's box-L kill and at its end,
+and summed per replica once per call, in creation order.
+
 ``simulate_replicas`` is the one entry point.  It folds the observables
 of the killed processes into the loop (snapshot occupation, pathwise
 integrals, per-particle birth and end times) and, when asked, records the
@@ -51,6 +63,7 @@ _KIND_SALT = np.uint64(0xD1B54A32D192ED03)
 _CHILD_SALT = np.uint64(0x8CB92BA72F3D8DD7)
 _SURVIVE = 4                             # engine code: next clock beyond the horizon
 _BIRTH_STOP = 4                          # births beyond this many caps halt a replica
+_COMPACT = 0.25                          # share of dead slots that triggers a compaction
 
 
 def particle_count(spec: LatticeSpec) -> int:
@@ -188,12 +201,18 @@ class _Run:
 
 
 def _grow(columns: dict, size: int) -> None:
-    """Double the last axis of every column until it holds ``size`` entries."""
+    """Double the last axis of every column until it holds ``size`` entries;
+    new entries are zero."""
     for name, col in columns.items():
         if col.shape[-1] < size:
-            new = np.empty(col.shape[:-1] + (max(size, 2 * col.shape[-1]),), col.dtype)
+            new = np.zeros(col.shape[:-1] + (max(size, 2 * col.shape[-1]),), col.dtype)
             new[..., :col.shape[-1]] = col
             columns[name] = new
+
+
+# rows of the integer slot array; the float slot array holds t, the time of
+# the next snapshot, the box-L kill times and the prefix integrals
+_REP, _SITE, _REACH, _SNAP, _PID = range(5)
 
 
 def _advance(rates: PotentialEnvironment, horizon: float, seeds, cap: int,
@@ -210,18 +229,30 @@ def _advance(rates: PotentialEnvironment, horizon: float, seeds, cap: int,
     ndir = 2 * spec.d
     jump_total = ndir * n2
     xi = rates.xi_e.ravel()
+    S = xi.size
+    # per-site tables; the extra last row is the site S of dead slots, where
+    # every draw is a jump that stays at S and reaches no shell
     branch_cut = jump_total + np.maximum(xi, 0.0)
-    total_rate = branch_cut + np.maximum(-xi, 0.0)
-    nbr = _neighbor_sites(spec)
+    total_rate = np.append(branch_cut + np.maximum(-xi, 0.0), 1.0)
+    branch_cut = np.append(branch_cut, np.inf)
+    nbr = np.vstack([np.column_stack([_neighbor_sites(spec), np.arange(S)]),
+                     np.full(ndir + 1, S)])          # column ndir: stay
     bmask = spec.boundary_mask().ravel()
-    maxc = _max_coord_table(spec)
-    shells = [L * spec.n // 2 for L in Ls]
+    maxc = np.append(_max_coord_table(spec), -1)
+    wall = spec.L * spec.n // 2
+    shells = np.array([L * spec.n // 2 for L in Ls], np.intp)[:, None]
+    # the next kill or absorption of a particle at sup-norm x is its first
+    # jump to sup-norm reach_of[x]: the smallest shell beyond x, or the wall
+    reach_of = np.array([min([s for s in shells[:, 0] if s > x] + [wall])
+                         for x in range(wall + 1)], np.intp)
     nL = len(Ls)
-    S = bmask.size
     times = np.asarray(times, dtype=np.float64)
     nT = times.size
-    funcs = {name: np.asarray(v, dtype=np.float64).ravel()
-             for name, v in (site_funcs or {}).items()}
+    next_time = np.append(times, np.inf)
+    names = list(site_funcs or {})
+    nF = len(names)
+    funcs = [np.append(np.asarray(site_funcs[k], dtype=np.float64).ravel(), 0.0)
+             for k in names]
 
     k0 = particle_count(spec)
     origin = flat_index(spec, spec.origin_index)
@@ -230,125 +261,157 @@ def _advance(rates: PotentialEnvironment, horizon: float, seeds, cap: int,
 
     R = len(seeds)
     seeds64 = np.asarray(seeds, dtype=np.int64).astype(np.uint64)
-    rep = np.repeat(np.arange(R), k0)
-    key = _mix64(_mix64(seeds64 + _GOLDEN)[rep]
+    rep0 = np.repeat(np.arange(R), k0)
+    key = _mix64(_mix64(seeds64 + _GOLDEN)[rep0]
                  + _GOLDEN * np.tile(np.arange(1, k0 + 1, dtype=np.uint64), R))
-    m = rep.size
-    # live particles: draw counter key + GOLDEN * (index of the next event),
-    # site, time of the last event, box-L kill times, creation index
-    ctr = key + _GOLDEN
-    site = np.full(m, origin, np.intp)
-    t = np.zeros(m)
-    tau = np.full((nL, m), np.inf)
-    pid = np.arange(m)
-    cols = {"rep": rep.copy(), "birth": np.zeros(m), "end": np.full(m, np.inf),
-            "cause": np.full(m, _SURVIVE, np.int8), "parent": np.full(m, -1),
-            "birth_site": site.copy(), "tau": tau.copy()}
-    count = m
+    m = count = rep0.size
+    first = int(np.searchsorted(times, 0.0))
+    # slots, in creation order: draw counter key + GOLDEN * (index of the
+    # next event), replica, site, kill reach, index of the next snapshot,
+    # creation index; time of the last event, time of the next snapshot,
+    # box-L kill times, prefix integrals.  An ended particle leaves its slot
+    # dead (replica R, site S, t NaN) until the slots are compacted.
+    slots = {"ctr": key + _GOLDEN,
+             "int": np.array([rep0, np.full(m, origin), np.full(m, reach_of[0]),
+                              np.full(m, first), np.arange(m)], np.intp),
+             "float": np.concatenate([np.zeros((1, m)), np.full((1, m), next_time[first]),
+                                      np.full((nL, m), np.inf), np.zeros((nF, m))])}
+    # per particle, by creation index; acc_end and acc_kill hold the prefix
+    # integrals at the particle's end and at its box-L kills
+    cols = {"rep": rep0, "birth": np.zeros(m), "end": np.zeros(m),
+            "cause": np.zeros(m, np.int8), "parent": np.full(m, -1),
+            "birth_site": np.full(m, origin), "tau": np.full((nL, m), np.inf),
+            "acc_end": np.zeros((nF, m)), "acc_kill": np.zeros((nL, nF, m))}
+    dead = 0
 
     births = np.zeros(R, np.int64)
     stopped = np.zeros(R, bool)
     occ_codes = []                       # atom codes of every box, tagged by box
-    integrals = {(L, name): np.zeros(R) for L in Ls for name in funcs}
     events = {"pid": [], "t": [], "kind": [], "site": []} if record else None
 
-    while rep.size:
+    def views():
+        flts = slots["float"][:, :m]
+        return (slots["ctr"][:m], *slots["int"][:, :m], flts[0], flts[1], flts[2:2 + nL],
+                flts[2 + nL:])
+
+    def retire(g, end, cause):
+        """End the particles of slots g: record them by creation index and
+        leave their slots dead."""
+        nonlocal dead
+        gp = pid[g]
+        cols["end"][gp] = end
+        cols["cause"][gp] = cause
+        cols["tau"][:, gp] = tau[:, g]
+        if nF:
+            cols["acc_end"][:, gp] = acc[:, g]
+        t[g] = np.nan
+        site[g] = S
+        rep[g] = R
+        dead += g.size
+
+    ctr, rep, site, reach, snap, pid, t, nxt, tau, acc = views()
+    while m > dead:
         h = _mix64(ctr)
         rate = total_rate[site]
         t_next = t - np.log(_unit_interval(h)) / rate
         u = _unit_interval(_mix64(h ^ _KIND_SALT)) * rate
-        alive_L = np.isinf(tau)
-
-        if nT:
-            lo = np.searchsorted(times, t, "left")
-            hi = np.searchsorted(times, t_next, "left")
-            cov = (hi > lo).nonzero()[0]
-            while cov.size:
-                code = (rep[cov] * nT + lo[cov]) * S + site[cov]
-                for j in range(nL):
-                    occ_codes.append(code[alive_L[j, cov]] * nL + j)
-                lo[cov] += 1
-                cov = cov[lo[cov] < hi[cov]]
-        if funcs:
-            seg = np.minimum(t_next, horizon) - t
-            for j, L in enumerate(Ls):
-                a = alive_L[j]
-                r_a, seg_a, site_a = rep[a], seg[a], site[a]
-                for name, f in funcs.items():
-                    integrals[(L, name)] += np.bincount(
-                        r_a, weights=seg_a * f[site_a], minlength=R)
-
         # JUMP below jump_total, BRANCH below branch_cut, DEATH above
         kind = (u >= jump_total).view(np.int8) + (u >= branch_cut[site]).view(np.int8)
         kind[t_next > horizon] = _SURVIVE
-        j_idx = (kind == JUMP).nonzero()[0]
-        if j_idx.size:
-            y = nbr[site[j_idx], np.minimum((u[j_idx] / n2).astype(np.intp), ndir - 1)]
-            reach = maxc[y]
-            for j, shell in enumerate(shells):
-                hit = j_idx[alive_L[j, j_idx] & (reach >= shell)]
-                tau[j, hit] = t_next[hit]
-            site[j_idx] = y
-            kind[j_idx[bmask[y]]] = ABSORBED
+
+        if nT:
+            # the segment covers the snapshots from the next one up to t_next
+            cov = (nxt < t_next).nonzero()[0]
+            while cov.size:
+                code = (rep[cov] * nT + snap[cov]) * S + site[cov]
+                for j in range(nL):
+                    occ_codes.append(code[np.isinf(tau[j, cov])] * nL + j)
+                snap[cov] += 1
+                nxt[cov] = next_time[snap[cov]]
+                cov = cov[nxt[cov] < t_next[cov]]
+        if nF:
+            seg = np.minimum(t_next, horizon) - t
+            for a, f in zip(acc, funcs):
+                a += seg * f[site]
+
+        col = np.minimum((u / n2).astype(np.intp), ndir - 1)
+        col[kind != JUMP] = ndir
+        site[:] = nbr[site, col]
+        # only a jump as far as a particle's kill reach kills or absorbs it
+        hit = (maxc[site] >= reach).nonzero()[0]
+        if hit.size:
+            far = maxc[site[hit]]
+            # the boxes it was alive in whose shell the jump reached
+            killed = (shells >= reach[hit]) & (shells <= far)
+            tau[:, hit] = np.where(killed, t_next[hit], tau[:, hit])
+            if nF:
+                for j, now in enumerate(killed):
+                    cols["acc_kill"][j][:, pid[hit[now]]] = acc[:, hit[now]]
+            reach[hit] = reach_of[far]
+            kind[hit[far == wall]] = ABSORBED
         if record:
             ev = ((kind < _SURVIVE) & (rep == 0)).nonzero()[0]
             for name, arr in (("pid", pid), ("t", t_next), ("kind", kind), ("site", site)):
                 events[name].append(arr[ev])
 
-        ended = kind >= DEATH
-        b_idx = (kind == BRANCH).nonzero()[0]
-        nb = b_idx.size
-        if not nb and not ended.any():
-            t = t_next
-            ctr += _GOLDEN
-            continue
-        g_idx = ended.nonzero()[0]
-        g_pid = pid[g_idx]
-        g_kind = kind[g_idx]
-        cols["end"][g_pid] = np.where(g_kind == _SURVIVE, np.inf, t_next[g_idx])
-        cols["cause"][g_pid] = g_kind
-        cols["tau"][:, g_pid] = tau[:, g_idx]
-        keep = ~ended
-        if not nb:
-            rep, ctr, site, t = rep[keep], ctr[keep] + _GOLDEN, site[keep], t_next[keep]
-            tau, pid = tau[:, keep], pid[keep]
-            continue
-
-        c_pid = np.arange(count, count + nb)
-        count += nb
-        _grow(cols, count)
-        c_t = t_next[b_idx]
-        cols["rep"][c_pid] = rep[b_idx]
-        cols["birth"][c_pid] = c_t
-        cols["parent"][c_pid] = pid[b_idx]
-        cols["birth_site"][c_pid] = site[b_idx]
-        births += np.bincount(rep[b_idx], minlength=R)
-        rep = np.concatenate([rep[keep], rep[b_idx]])
-        ctr = np.concatenate([ctr[keep], _mix64(h[b_idx] ^ _CHILD_SALT)]) + _GOLDEN
-        site = np.concatenate([site[keep], site[b_idx]])
-        t = np.concatenate([t_next[keep], c_t])
-        # a child of a parent already killed in box L is dead on arrival there
-        tau = np.concatenate([tau[:, keep], np.where(alive_L[:, b_idx], np.inf, c_t)], axis=1)
-        pid = np.concatenate([pid[keep], c_pid])
-        over = (births > _BIRTH_STOP * cap) & ~stopped
-        if over.any():
-            # memory bound: the replica is halted and exploded, its particles left alive
-            stopped |= over
-            halt = over[rep]
-            cols["end"][pid[halt]] = np.inf
-            cols["cause"][pid[halt]] = _SURVIVE
-            cols["tau"][:, pid[halt]] = tau[:, halt]
-            keep = ~halt
-            rep, ctr, site, t = rep[keep], ctr[keep], site[keep], t[keep]
-            tau, pid = tau[:, keep], pid[keep]
+        t[:] = t_next
+        ctr += _GOLDEN
+        g = (kind >= DEATH).nonzero()[0]
+        if g.size:
+            retire(g, t[g], kind[g])
+        b = (kind == BRANCH).nonzero()[0]
+        if b.size:
+            nb = b.size
+            if m + nb > slots["ctr"].size:
+                _grow(slots, m + nb)
+            if count + nb > cols["rep"].size:
+                _grow(cols, count + nb)
+            new, c = slice(m, m + nb), slice(count, count + nb)
+            slots["ctr"][new] = _mix64(h[b] ^ _CHILD_SALT) + _GOLDEN
+            slots["int"][:, new] = slots["int"][:, b]
+            slots["int"][_PID, new] = np.arange(count, count + nb)
+            slots["float"][:, new] = slots["float"][:, b]
+            # a child of a parent already killed in box L is dead on arrival there
+            c_t, c_tau = slots["float"][0, new], slots["float"][2:2 + nL, new]
+            np.maximum(c_tau, c_t, out=c_tau)
+            slots["float"][2 + nL:, new] = 0.0
+            cols["rep"][c] = slots["int"][_REP, new]
+            cols["birth"][c] = c_t
+            cols["parent"][c] = pid[b]
+            cols["birth_site"][c] = slots["int"][_SITE, new]
+            m += nb
+            count += nb
+            ctr, rep, site, reach, snap, pid, t, nxt, tau, acc = views()
+            births += np.bincount(cols["rep"][c], minlength=R)
+            over = (births > _BIRTH_STOP * cap) & ~stopped
+            if over.any():
+                # memory bound: the replica is halted and exploded, its particles left alive
+                stopped |= over
+                g = np.append(over, False)[rep].nonzero()[0]
+                retire(g, np.inf, _SURVIVE)
+        if dead > _COMPACT * m:
+            live = (rep < R).nonzero()[0]
+            for buf in slots.values():
+                buf[..., :live.size] = buf[..., live]
+            m, dead = live.size, 0
+            ctr, rep, site, reach, snap, pid, t, nxt, tau, acc = views()
 
     codes = np.concatenate(occ_codes) if occ_codes else np.zeros(0, np.intp)
     occupation = [np.unique(codes[codes % nL == j] // nL, return_counts=True)
                   for j in range(nL)]
     if record:
         events = {name: np.concatenate(chunks) for name, chunks in events.items()}
-    return _Run(k0, stopped, occupation=occupation, integrals=integrals, events=events,
-                **{name: col[..., :count] for name, col in cols.items()})
+    cols = {name: col[..., :count] for name, col in cols.items()}
+    acc_end, acc_kill = cols.pop("acc_end"), cols.pop("acc_kill")
+    cols["end"][cols["cause"] == _SURVIVE] = np.inf
+    # box L holds a particle's prefix integral at its box-L kill, or at its end
+    integrals = {}
+    for j, L in enumerate(Ls):
+        alive = np.isinf(cols["tau"][j])
+        for i, name in enumerate(names):
+            integrals[(L, name)] = np.bincount(
+                cols["rep"], weights=np.where(alive, acc_end[i], acc_kill[j, i]), minlength=R)
+    return _Run(k0, stopped, occupation=occupation, integrals=integrals, events=events, **cols)
 
 
 def _exploded(run: _Run, cap: int) -> np.ndarray:

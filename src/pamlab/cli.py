@@ -258,16 +258,24 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
             write_event_log(batch.event_log(), lpath)
             manifest.add_output(lpath)
             used = int((~batch.exploded).sum())
-            mean_counts = {}
+            # count totals over the kept replicas per (snapshot, box, site),
+            # in that order: cell codes sort as the rows do
+            boxes, S = sorted(set(cfg.L_list)), rates.spec.site_count
+            codes, counts = [], []
             for L in cfg.L_list:
                 rep, ti, site, cnt = batch.atoms(L)
                 keep = ~batch.exploded[rep]
-                for i, s, c in zip(ti[keep].tolist(), site[keep].tolist(), cnt[keep].tolist()):
-                    key = (batch.times[i], L, s)
-                    mean_counts[key] = mean_counts.get(key, 0) + c
+                codes.append((ti[keep] * len(boxes) + boxes.index(L)) * S + site[keep])
+                counts.append(cnt[keep])
+            cells, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+            totals = np.bincount(inverse, weights=np.concatenate(counts))
+            cell, sites = np.divmod(cells, S)
+            ti, j = np.divmod(cell, len(boxes))
             rows = [
-                (t, L, pio.site_label(rates.spec, site), total / used * batch.weight)
-                for (t, L, site), total in sorted(mean_counts.items())
+                (batch.times[i], boxes[k], pio.site_label(rates.spec, site),
+                 total / used * batch.weight)
+                for i, k, site, total in zip(ti.tolist(), j.tolist(), sites.tolist(),
+                                             totals.tolist())
             ]
             mpath = os.path.join(outdir, f"measures_n{n}_seed{seed}.csv")
             pio.write_measure_csv(rows, mpath)

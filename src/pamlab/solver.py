@@ -72,14 +72,6 @@ class PotentialEnvironment:
         return self.xi_e_values
 
 
-def zero_environment(spec: LatticeSpec) -> PotentialEnvironment:
-    return PotentialEnvironment(spec, np.zeros(spec.shape))
-
-
-def constant_environment(spec: LatticeSpec, c: float) -> PotentialEnvironment:
-    return PotentialEnvironment(spec, np.full(spec.shape, float(c)))
-
-
 @dataclass
 class PamProblem:
     env: object                      # anything with .spec and .xi_e

@@ -7,6 +7,9 @@ import pytest
 
 from pamlab import verify
 from pamlab.branching import (
+    BRANCH,
+    DEATH,
+    JUMP,
     ambient_rates,
     kill_and_project,
     kill_schedule,
@@ -431,6 +434,56 @@ class TestLockstepEngine:
                 alone_counts = counts_by_snapshot(alone, L)
                 for ti in range(len(times)):
                     assert alone_counts.get((0, ti)) == big_counts[L].get((i, ti))
+
+    @pytest.mark.parametrize("n,d,env_seed,L_max,T,Ls,seed", [
+        (16, 1, 3, 8, 0.3, [2, 4, 6, 8], 68),
+        (8, 2, 13, 6, 0.2, [2, 4, 6], 45),
+    ])
+    def test_snapshots_at_event_times_follow_the_cadlag_rule(self, n, d, env_seed, L_max,
+                                                             T, Ls, seed):
+        # a snapshot at every event time of the recorded replica: a particle
+        # born there counts, one that jumps counts at its new site, one that
+        # dies or is killed in box L there does not
+        rates = ambient_rates(build_environment(n, 2, d, "gaussian", env_seed), L_max)
+        res = simulate(rates, T, seed=seed)
+        assert {kind for _, _, kind, _ in res.events} >= {JUMP, BRANCH, DEATH}
+        tau = kill_schedule(res, Ls).tau
+        births = {p.birth for p in res.particles}
+        assert all(any(math.isfinite(t) and t not in births for t in tau[L]) for L in Ls[:2])
+        times = sorted({t for t, _, _, _ in res.events})
+        batch = simulate_replicas(rates, T, [seed, seed + 1], Ls, times)
+        emp = kill_and_project(res, Ls, times)
+        for L in Ls:
+            folded = counts_by_snapshot(batch, L)
+            for ti in range(len(times)):
+                assert folded.get((0, ti), {}) == emp.counts[(ti, L)]
+
+    def test_birth_stop_halts_only_its_replica(self):
+        # seed 0 passes four caps of births at cap 8; the other seeds do not
+        rates = flat_rates(4, 2, 1, 2.5)
+        T, cap, seeds = 4.0, 8, [3, 5, 0, 7, 9]
+        funcs = {"one": np.ones(rates.spec.shape)}
+        args = ([2], [T / 2, T], funcs)
+        batch = simulate_replicas(rates, T, seeds, *args, cap=cap)
+        run = batch._run
+        assert run.stopped.tolist() == [s == 0 for s in seeds]
+        for i, seed in enumerate(seeds):
+            alone = simulate_replicas(rates, T, [seed], *args, cap=cap)
+            assert alone.exploded[0] == batch.exploded[i] == (seed == 0)
+            assert alone._run.stopped[0] == (seed == 0)
+            if seed == 0:
+                assert (alone._run.rep.size - alone.initial_count) > 4 * cap
+                continue
+            rows = run.rep == i
+            for name in ("birth", "end", "cause", "birth_site"):
+                assert np.array_equal(getattr(run, name)[rows], getattr(alone._run, name))
+            assert np.array_equal(run.tau[:, rows], alone._run.tau)
+            assert alone.sup_total_mass(2)[0] == batch.sup_total_mass(2)[i]
+            assert alone.integrals[(2, "one")][0] == batch.integrals[(2, "one")][i]
+            alone_counts = counts_by_snapshot(alone, 2)
+            batch_counts = counts_by_snapshot(batch, 2)
+            for ti in range(2):
+                assert alone_counts.get((0, ti)) == batch_counts.get((i, ti))
 
     @pytest.mark.parametrize("n,d,env_seed,L_max,T,Ls", CASES)
     def test_recorded_replica_log_equals_simulate(self, n, d, env_seed, L_max, T, Ls):

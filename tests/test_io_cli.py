@@ -349,6 +349,31 @@ class TestCommands:
         assert csv_lines[0] == "t,L,site,mass"
         assert len(csv_lines) > 1
 
+    def test_simulate_mean_counts_match_an_atom_loop(self, tmp_path):
+        # reference: the kept replicas' atoms summed one at a time, rows
+        # sorted by (t, L, site); a small cap leaves some replicas exploded
+        from pamlab import branching
+
+        cfg = parse_config_text(
+            "d=1\nn_list=8\nseeds=2\nT=0.2\nreplicas=12\nL_list=4,2\nL_max=6\ncap=6\n")
+        assert cmd_simulate(cfg, str(tmp_path)) == 0
+        rates = branching.ambient_rates(build_environment(8, 4, 1, "gaussian", 2), 6)
+        batch = branching.simulate_replicas(rates, cfg.T, range(12), cfg.L_list,
+                                            [0.0, cfg.T / 2, cfg.T], cap=cfg.cap)
+        used = int((~batch.exploded).sum())
+        assert 0 < used < 12
+        totals = {}
+        for L in cfg.L_list:
+            for r, ti, site, c in zip(*(a.tolist() for a in batch.atoms(L))):
+                if not batch.exploded[r]:
+                    key = (batch.times[ti], L, site)
+                    totals[key] = totals.get(key, 0) + c
+        expected = ["t,L,site,mass"] + [
+            f"{t!r},{L},{pio.site_label(rates.spec, site)},{total / used * batch.weight!r}"
+            for (t, L, site), total in sorted(totals.items())]
+        lines = (tmp_path / "measures_n8_seed2.csv").read_text().splitlines()
+        assert lines == expected
+
     def test_simulate_runs_each_replica_once(self, tmp_path, monkeypatch):
         from pamlab import branching
 

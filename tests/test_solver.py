@@ -19,16 +19,16 @@ from pamlab.solver import (
     _HeatFlow,
     _StrangStepper,
     apply_hamiltonian,
-    constant_environment,
     dense_hamiltonian,
     principal_eigenpair,
     semigroup_apply,
     solve_dual_fkpp,
     solve_linear_pam,
-    zero_environment,
 )
 from pamlab.spectral import basis_field, frequency_grid, laplacian_symbol
 from pamlab.verify import smooth_bump
+
+from oracles import constant_environment, zero_environment
 
 
 def bump(spec, amplitude=0.5):

@@ -8,8 +8,10 @@ from pamlab import verify
 from pamlab.branching import particle_count
 from pamlab.environment import build_environment
 from pamlab.lattice import Field
-from pamlab.solver import PotentialEnvironment, zero_environment
+from pamlab.solver import PotentialEnvironment
 from pamlab.lattice import LatticeSpec
+
+from oracles import zero_environment
 
 
 @pytest.fixture(scope="module")
